@@ -9,7 +9,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 
 from . import complexity, engine
@@ -17,22 +17,11 @@ from .errors import PermutationValidationError, SimulatorLimitError, ValidationE
 from .ir import save_circuit
 from .lowering import lower
 from .qasm import to_qasm
-from .reduced import build_pi_sigma, build_U_tilde
+from .reduced import build_pi_sigma, build_U_tilde, target_bits
 from .synth import build_oracle, build_U
 from .targets import TargetSet, parse_target_file
 
-DEFAULT_MAX_QUBITS = 22
-
-
-def _max_qubits() -> int:
-    raw = os.environ.get("GROVER_FORGE_MAX_QUBITS")
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValidationError(
-            f"bad GROVER_FORGE_MAX_QUBITS value {raw!r}") from exc
+MAX_SWEEP_ROWS = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,8 +81,7 @@ def _cmd_synth(args) -> int:
         bound = complexity.bound_U(targets.n, targets.size)
     elif args.variant == "u-tilde":
         circuit = build_U_tilde(targets.size, targets.n)
-        from .reduced import canonical_targets
-        bound = complexity.bound_U_tilde(canonical_targets(targets)[1])
+        bound = complexity.bound_U_tilde(target_bits(targets.size))
     elif args.variant == "pi-sigma":
         circuit, plan = build_pi_sigma(targets, args.mode)
         bound = complexity.bound_pi(targets.n, targets.size)
@@ -105,8 +93,7 @@ def _cmd_synth(args) -> int:
         bound = None
     else:
         circuit = engine.build_O_conv(targets)
-        bound = targets.size * (2 * targets.n
-                                + complexity.DEFAULT_MODEL(targets.n - 1))
+        bound = complexity.bound_O_conv(targets.n, targets.size)
     save_circuit(circuit, args.out)
     cost = complexity.count(circuit)
     line = f"{args.variant}: {len(circuit)} gates, counted cost {cost}"
@@ -122,11 +109,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     targets = _load_targets(args.targets)
-    limit = _max_qubits()
-    if targets.n > limit:
-        raise SimulatorLimitError(
-            f"n={targets.n} exceeds simulator limit {limit} "
-            "(set GROVER_FORGE_MAX_QUBITS to override)")
     schedule = engine.analytic_schedule(targets.n, targets.size)
     if args.k == "auto":
         k = schedule.k_star
@@ -184,50 +166,37 @@ def _parse_sweep(spec_n: str, spec_gamma: str):
     try:
         if ":" in grid_spec:
             start, stop, step = (float(tok) for tok in grid_spec.split(":"))
-            grid = []
-            g = start
-            while g <= stop + 1e-12:
-                grid.append(round(g, 12))
-                g += step
         else:
             grid = [float(tok) for tok in grid_spec.split(",") if tok]
     except ValueError as exc:
         raise ValidationError(f"bad gamma grid {grid_spec!r}") from exc
+    if ":" in grid_spec:
+        if not step > 0:
+            raise ValidationError(f"gamma step must be positive, got {step}")
+        # The 1e-12 slack keeps a stop that float rounding misses by a hair.
+        points = (stop + 1e-12 - start) / step + 1
+        if not math.isfinite(points):
+            raise ValidationError(f"bad gamma grid {grid_spec!r}")
+        points = min(max(0, math.floor(points)), MAX_SWEEP_ROWS + 1)
+        grid = [round(start + i * step, 12) for i in range(points)]
     if not n_list or not grid:
         raise ValidationError("empty sweep grid")
+    if len(n_list) * len(grid) > MAX_SWEEP_ROWS:
+        raise ValidationError(f"sweep has more than {MAX_SWEEP_ROWS} rows")
     return n_list, grid
 
 
-def _cmd_compare(args) -> int:
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        if args.sweep:
-            n_list, grid = _parse_sweep(*args.sweep)
-            rows = complexity.sweep_gamma(n_list, grid)
-            writer = csv.writer(out)
-            writer.writerow(["n", "gamma", "Gamma", "dominates"])
-            for n, gamma, ratio, flag in rows:
-                writer.writerow([n, f"{gamma:.6g}", f"{ratio:.10g}",
-                                 int(flag)])
-            return 0
-        if args.targets:
-            targets = _load_targets(args.targets)
-            report = complexity.build_report(targets, k=args.k)
-        elif args.n is not None and args.s is not None:
-            exact, approx = complexity.gamma_ratio(args.n, args.s)
-            verdict = "reduced" if exact < 1.0 else "conventional"
-            payload = {"n": args.n, "s": args.s, "Gamma_exact": exact,
-                       "Gamma_approx": approx, "verdict": verdict}
-            if args.as_json:
-                json.dump(payload, out, indent=1)
-                out.write("\n")
-            else:
-                out.write(f"n={args.n} s={args.s} Gamma={exact:.6g} "
-                          f"(approx {approx:.6g}) -> {verdict}\n")
-            return 0
-        else:
-            raise ValidationError(
-                "compare needs --targets, --n/--s, or --sweep")
+def _compare_output(args, out) -> None:
+    if args.sweep:
+        n_list, grid = _parse_sweep(*args.sweep)
+        rows = complexity.sweep_gamma(n_list, grid)
+        writer = csv.writer(out)
+        writer.writerow(["n", "gamma", "Gamma", "dominates"])
+        for n, gamma, ratio, flag in rows:
+            writer.writerow([n, f"{gamma:.6g}", f"{ratio:.10g}", int(flag)])
+    elif args.targets:
+        report = complexity.build_report(_load_targets(args.targets),
+                                         k=args.k)
         if args.as_json:
             json.dump(report.to_json(), out, indent=1)
             out.write("\n")
@@ -241,10 +210,32 @@ def _cmd_compare(args) -> int:
             out.write(f"Gamma={report.gamma_exact:.6g} "
                       f"(approx {report.gamma_approximate:.6g}) "
                       f"-> {report.verdict}\n")
-        return 0
-    finally:
-        if args.out:
-            out.close()
+    elif args.n is not None and args.s is not None:
+        exact, approx = complexity.gamma_ratio(args.n, args.s)
+        verdict = complexity.verdict_of(exact)
+        if args.as_json:
+            json.dump({"n": args.n, "s": args.s, "Gamma_exact": exact,
+                       "Gamma_approx": approx, "verdict": verdict},
+                      out, indent=1)
+            out.write("\n")
+        else:
+            out.write(f"n={args.n} s={args.s} Gamma={exact:.6g} "
+                      f"(approx {approx:.6g}) -> {verdict}\n")
+    else:
+        raise ValidationError("compare needs --targets, --n/--s, or --sweep")
+
+
+def _cmd_compare(args) -> int:
+    # The whole output is built before --out is opened, so invalid input
+    # leaves no file behind.
+    out = io.StringIO()
+    _compare_output(args, out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
+    return 0
 
 
 def main(argv=None) -> int:

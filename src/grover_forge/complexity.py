@@ -15,7 +15,8 @@ from typing import Callable
 
 from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
-from .reduced import build_pi_sigma, build_U_tilde, canonical_targets
+from .engine import analytic_schedule, build_D, build_O_conv, build_P
+from .reduced import build_pi_sigma, build_U_tilde, target_bits
 from .synth import build_oracle, build_U
 from .targets import TargetSet
 
@@ -73,13 +74,15 @@ def bound_pi(n: int, s: int) -> int:
     return s * n * (n - 1) ** 2
 
 
-def _l_of(s: int) -> int:
-    return 0 if s == 1 else math.ceil(math.log2(s))
+def bound_O_conv(n: int, s: int, model: CostModel = DEFAULT_MODEL) -> int:
+    """One basis-state phase flip per target: an (n-1)-controlled gate and
+    at most 2n X gates around it."""
+    return s * (2 * n + model(n - 1))
 
 
 def total_reduced_cost(n: int, s: int, k: int) -> int:
     """Headline cost of the permuted pipeline after k iterations."""
-    l = _l_of(s)
+    l = target_bits(s)
     return 2 * n ** 3 * s + 2 * k * n ** 2 + 2 * k * l * l * (1 << l)
 
 
@@ -101,7 +104,7 @@ def gamma_ratio(n: int, s: int) -> tuple[float, float]:
     oracle cost at the square-root iteration budget."""
     if not 1 <= s <= (1 << n):
         raise ValidationError(f"target count {s} out of range for n={n}")
-    l = _l_of(s)
+    l = target_bits(s)
     # First term 2 n^3 s / (n^2 (s+1) sqrt(2^n / s)) in log space: it
     # underflows harmlessly for large n instead of overflowing.
     ln = math.log
@@ -115,6 +118,11 @@ def gamma_ratio(n: int, s: int) -> tuple[float, float]:
                                n * n * (s + 1)))
     exact = synth_term + flat_term
     return exact, gamma_approx(n, l / n)
+
+
+def verdict_of(gamma_exact: float) -> str:
+    """The cheaper pipeline at a given exact cost ratio."""
+    return "reduced" if gamma_exact < 1.0 else "conventional"
 
 
 def sweep_gamma(n_list, gamma_grid) -> list[tuple[int, float, float, bool]]:
@@ -144,7 +152,7 @@ class ComplexityReport:
 
     @property
     def verdict(self) -> str:
-        return "reduced" if self.gamma_exact < 1.0 else "conventional"
+        return verdict_of(self.gamma_exact)
 
     def to_json(self) -> dict:
         return {
@@ -166,10 +174,8 @@ def build_report(targets: TargetSet, k: int | None = None,
     Counting does not require the gray-code chains to be semantically
     valid, so paper mode is never rejected here.
     """
-    from .engine import analytic_schedule, build_D, build_O_conv, build_P
-
     n, s = targets.n, targets.size
-    _, l = canonical_targets(targets)
+    l = target_bits(s)
     if k is None:
         k = analytic_schedule(n, s).k_star
     prep = build_U(targets)
@@ -195,7 +201,7 @@ def build_report(targets: TargetSet, k: int | None = None,
         "U": bound_U(n, s),
         "U_tilde": bound_U_tilde(l),
         "pi_sigma": bound_pi(n, s),
-        "oracle_conv": s * (2 * n + model(n - 1)),
+        "oracle_conv": bound_O_conv(n, s, model),
         "reduced_run": total_reduced_cost(n, s, k),
     }
     exact, approx = gamma_ratio(n, s)

@@ -8,11 +8,13 @@ in the same sign convention and can be compared entrywise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PermutationValidationError, ValidationError
+from .errors import (PermutationValidationError, SimulatorLimitError,
+                     ValidationError)
 from .ir import (Circuit, H, PatternPhase, Single, StateVector,
                  _apply_inplace, apply_circuit)
 from .reduced import build_pi_sigma, build_U_tilde
@@ -20,6 +22,18 @@ from .synth import build_oracle
 from .targets import TargetSet, bitstring
 
 VARIANTS = ("conventional", "modified", "reduced")
+DEFAULT_MAX_QUBITS = 22
+
+
+def _max_qubits() -> int:
+    raw = os.environ.get("GROVER_FORGE_MAX_QUBITS")
+    if raw is None:
+        return DEFAULT_MAX_QUBITS
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ValidationError(
+            f"bad GROVER_FORGE_MAX_QUBITS value {raw!r}") from exc
 
 
 def uniform_state(n: int) -> StateVector:
@@ -93,6 +107,11 @@ class _Run:
     array, with the optional permutation sandwich of the reduced variant."""
 
     def __init__(self, targets: TargetSet, variant: str, mode: str = "auto"):
+        limit = _max_qubits()
+        if targets.n > limit:
+            raise SimulatorLimitError(
+                f"n={targets.n} exceeds simulator limit {limit} "
+                "(set GROVER_FORGE_MAX_QUBITS to override)")
         if variant not in VARIANTS:
             raise ValidationError(f"unknown variant {variant!r}")
         n = targets.n

@@ -151,36 +151,34 @@ class StateVector:
 
 
 def _apply_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
-    if isinstance(gate, Single):
-        view = np.moveaxis(amps.reshape([2] * n), gate.target, -1)
-        view[...] = view @ gate.u.T
-    elif isinstance(gate, Controlled):
-        idx = np.arange(amps.size)
-        mask = np.ones(amps.size, dtype=bool)
-        for q, b in gate.controls:
-            mask &= ((idx >> (n - 1 - q)) & 1) == b
-        tbit = 1 << (n - 1 - gate.target)
-        i0 = idx[mask & ((idx & tbit) == 0)]
-        i1 = i0 | tbit
-        a0 = amps[i0]
-        a1 = amps[i1]
-        u = gate.u
-        amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    else:
-        amps[int(gate.pattern, 2)] *= gate.phase
+    """Apply one gate to a C-contiguous amplitude array in place.
+
+    The first axis of `amps` indexes the basis state and is viewed as n
+    axes of size 2, one per qubit; any further axes ride along.  Controls
+    are fixed to their required bit by basic indexing, so every update
+    writes through views of `amps`.
+    """
+    view = amps.reshape((2,) * n + amps.shape[1:])
+    if isinstance(gate, PatternPhase):
+        view[tuple(int(b) for b in gate.pattern)] *= gate.phase
+        return
+    index = [slice(None)] * n
+    for q, b in getattr(gate, "controls", ()):
+        index[q] = b
+    index[gate.target] = 0
+    # The trailing Ellipsis keeps a fully indexed slice a 0-d view, not a
+    # scalar copy.
+    a0 = view[(*index, ...)]
+    index[gate.target] = 1
+    a1 = view[(*index, ...)]
+    u = gate.u
+    a0[...], a1[...] = (u[0, 0] * a0 + u[0, 1] * a1,
+                        u[1, 0] * a0 + u[1, 1] * a1)
 
 
 def apply(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning a fresh state."""
-    for q in _gate_qubits(gate):
-        if not 0 <= q < state.n:
-            raise ValidationError(f"qubit index {q} out of range")
-    if isinstance(gate, PatternPhase) and len(gate.pattern) != state.n:
-        raise ValidationError("pattern length must equal qubit count")
-    amps = state.amplitudes.copy()
-    _apply_inplace(amps, state.n, gate)
-    return StateVector(state.n, amps)
+    return apply_circuit(state, Circuit(state.n, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -205,27 +203,9 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     if n > MAX_DENSE_QUBITS:
         raise ValidationError(
             f"refusing dense matrix for n={n} > {MAX_DENSE_QUBITS}")
-    dim = 1 << n
-    mat = np.eye(dim, dtype=complex)
+    mat = np.eye(1 << n, dtype=complex)
     for gate in circuit.gates:
-        if isinstance(gate, Single):
-            view = np.moveaxis(mat.reshape([2] * n + [dim]), gate.target, -1)
-            view[...] = view @ gate.u.T
-        elif isinstance(gate, Controlled):
-            idx = np.arange(dim)
-            mask = np.ones(dim, dtype=bool)
-            for q, b in gate.controls:
-                mask &= ((idx >> (n - 1 - q)) & 1) == b
-            tbit = 1 << (n - 1 - gate.target)
-            i0 = idx[mask & ((idx & tbit) == 0)]
-            i1 = i0 | tbit
-            a0 = mat[i0]
-            a1 = mat[i1]
-            u = gate.u
-            mat[i0] = u[0, 0] * a0 + u[0, 1] * a1
-            mat[i1] = u[1, 0] * a0 + u[1, 1] * a1
-        else:
-            mat[int(gate.pattern, 2)] *= gate.phase
+        _apply_inplace(mat, n, gate)
     return mat
 
 

@@ -8,7 +8,6 @@ the requested ones; only the setwise image matters for the search.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import PermutationValidationError, ValidationError
@@ -17,12 +16,15 @@ from .synth import build_U
 from .targets import TargetSet, bitstring
 
 
+def target_bits(size: int) -> int:
+    """l = ceil(log2 size): the low qubits that {0, ..., size-1} occupies."""
+    return (size - 1).bit_length()
+
+
 def canonical_targets(targets: TargetSet) -> tuple[TargetSet, int]:
     """The same-size set {0, ..., |S|-1} and the bit count it occupies."""
-    size = targets.size
-    l = 0 if size == 1 else math.ceil(math.log2(size))
-    canon = TargetSet(targets.n, tuple(range(size)))
-    return canon, l
+    canon = TargetSet(targets.n, tuple(range(targets.size)))
+    return canon, target_bits(targets.size)
 
 
 def build_U_tilde(size: int, n: int) -> Circuit:
@@ -35,7 +37,7 @@ def build_U_tilde(size: int, n: int) -> Circuit:
         raise ValidationError(f"size {size} out of range for n={n}")
     if size == 1:
         return Circuit(n, ())
-    l = math.ceil(math.log2(size))
+    l = target_bits(size)
     compact = build_U(TargetSet(l, tuple(range(size))))
     shift = n - l
     gates: list[Gate] = []

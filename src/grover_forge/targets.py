@@ -75,10 +75,6 @@ class TargetSet:
     def bitstrings(self) -> list[str]:
         return [bitstring(x, self.n) for x in self.labels]
 
-    def complement(self) -> tuple[int, ...]:
-        members = self.label_set
-        return tuple(x for x in range(1 << self.n) if x not in members)
-
 
 def parse_target_file(path) -> TargetSet:
     """Read a target set from disk.

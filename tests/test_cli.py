@@ -118,6 +118,36 @@ def test_compare_sweep_csv(tmp_path):
     assert flags[0.5] == 1 and flags[0.9] == 0
 
 
+@pytest.mark.parametrize("grid, points", [("0.05:0.95:0.01", 91),
+                                          ("0.05:0.95:0.05", 19),
+                                          ("0.5:0.5:0.1", 1),
+                                          ("0.1,0.2", 2)])
+def test_compare_sweep_grid_points(tmp_path, grid, points):
+    out = tmp_path / "sweep.csv"
+    assert main(["compare", "--sweep", "n=10,1000", f"gamma={grid}",
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 2 * points
+    if points == 91:
+        assert [g for _, g, _, _ in rows[:points]] == [
+            f"{0.05 + 0.01 * i:.6g}" for i in range(points)]
+
+
+@pytest.mark.parametrize("sweep", [
+    ["n=10", "gamma=0.1:0.9:0"],
+    ["n=10", "gamma=0.1:0.9:-0.1"],
+    ["n=10", "gamma=0:1:1e-9"],
+    ["n=10,100", "gamma=0:1:0.00001"],
+    ["n=abc", "gamma=0.1"],
+])
+def test_compare_bad_sweep_writes_nothing(tmp_path, capsys, sweep):
+    out = tmp_path / "sweep.csv"
+    assert main(["compare", "--sweep", *sweep, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("hello\n")

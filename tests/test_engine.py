@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from conftest import random_target_set, state_of_targets
 
-from grover_forge import (TargetSet, ValidationError, analytic_schedule,
+from grover_forge import (SimulatorLimitError, TargetSet, ValidationError,
+                          analytic_schedule,
                           apply_circuit, build_D, build_O_conv, build_P,
                           grover_run, grover_states, success_probability,
                           uniform_state, unitary_of)
+from grover_forge import engine
 from grover_forge.ir import StateVector
 
 
@@ -116,6 +118,20 @@ def test_run_validation(example_targets):
         grover_run(example_targets, "modified", -1)
     with pytest.raises(ValidationError):
         list(grover_states(example_targets, "modified", -1))
+
+
+def test_qubit_limit_checked_before_allocation(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"allocated a {n}-qubit state")
+
+    monkeypatch.setattr(engine, "uniform_state", refuse)
+    with pytest.raises(SimulatorLimitError, match="exceeds simulator limit"):
+        grover_run(TargetSet(40, (5,)), "conventional", 0)
+    with pytest.raises(SimulatorLimitError):
+        next(grover_states(TargetSet(40, (5,)), "reduced", 1))
+    monkeypatch.setenv("GROVER_FORGE_MAX_QUBITS", "2")
+    with pytest.raises(SimulatorLimitError, match="limit 2"):
+        grover_run(TargetSet(3, (5,)), "modified", 0)
 
 
 def test_optimal_iteration_amplifies():

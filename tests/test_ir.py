@@ -58,7 +58,7 @@ def test_pattern_phase_subtracts_component():
     assert np.allclose(state.amplitudes, want, atol=1e-15)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(12))
 def test_apply_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
@@ -75,6 +75,13 @@ def test_apply_matches_dense_oracle(seed):
     ]
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
+    # Every control count up to all other qubits (the pi_sigma shape),
+    # with mixed polarities.
+    for m in range(1, n):
+        controls = rng.choice(others, size=m, replace=False)
+        gates.append(Controlled(tuple((int(q), int(rng.integers(0, 2)))
+                                      for q in controls),
+                                random_unitary_2x2(rng), t))
     for gate in gates:
         got = apply(StateVector(n, amps), gate).amplitudes
         want = dense_gate_matrix(gate, n) @ amps
@@ -117,6 +124,22 @@ def test_unitary_of_matches_matrix_product():
     for gate in gates:
         product = dense_gate_matrix(gate, n) @ product
     assert np.allclose(unitary_of(circuit), product, atol=1e-12)
+
+    n = 5
+    gates = []
+    for _ in range(12):
+        t = int(rng.integers(0, n))
+        others = [q for q in range(n) if q != t]
+        m = int(rng.integers(1, n))
+        controls = tuple((int(q), int(rng.integers(0, 2)))
+                         for q in rng.choice(others, size=m, replace=False))
+        gates.append(Controlled(controls, random_unitary_2x2(rng), t))
+    gates.append(PatternPhase("10110", np.exp(0.7j)))
+    product = np.eye(1 << n, dtype=complex)
+    for gate in gates:
+        product = dense_gate_matrix(gate, n) @ product
+    assert np.allclose(unitary_of(Circuit(n, tuple(gates))), product,
+                       atol=1e-12)
 
 
 def test_unitary_of_refuses_large_n():
