@@ -1,12 +1,11 @@
 """Circuit synthesis and exact simulation for multi-target database search."""
 
-from .complexity import (ComplexityReport, CostModel, bound_pi, bound_U,
-                         bound_U_tilde, build_report, count, gamma_approx,
-                         gamma_ratio, sweep_gamma, total_reduced_cost)
+from .complexity import (ComplexityReport, bound_pi, bound_U, bound_U_tilde,
+                         build_report, count, gamma_approx, gamma_ratio,
+                         sweep_gamma, total_reduced_cost)
 from .dichotomy import PrefixTable, build_prefix_table, conditional_prob, marginal_prob
-from .engine import (AnalyticSchedule, analytic_schedule, build_D, build_O_conv,
-                     build_P, grover_run, grover_states, success_probability,
-                     uniform_state)
+from .engine import (AnalyticSchedule, analytic_schedule, grover_run,
+                     grover_states, success_probability, uniform_state)
 from .errors import PermutationValidationError, SimulatorLimitError, ValidationError
 from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector, apply,
                  apply_circuit, circuit_from_json, circuit_to_json, load_circuit,
@@ -15,12 +14,13 @@ from .lowering import lower
 from .qasm import to_qasm
 from .reduced import (PermutationPlan, build_pi_sigma, build_U_tilde,
                       canonical_targets, gray_path)
-from .synth import build_oracle, build_stage, build_U
+from .synth import (build_D, build_O_conv, build_oracle, build_P, build_stage,
+                    build_U)
 from .targets import TargetSet, parse_target_file
 
 __all__ = [
     "AnalyticSchedule", "Circuit", "ComplexityReport", "Controlled",
-    "CostModel", "PatternPhase", "PermutationPlan",
+    "PatternPhase", "PermutationPlan",
     "PermutationValidationError", "PrefixTable", "SimulatorLimitError",
     "Single", "StateVector", "TargetSet", "ValidationError",
     "analytic_schedule", "apply", "apply_circuit", "bound_U",

@@ -18,7 +18,7 @@ from .ir import save_circuit
 from .lowering import lower
 from .qasm import to_qasm
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
-from .synth import build_oracle, build_U
+from .synth import build_O_conv, build_oracle, build_U
 from .targets import TargetSet, parse_target_file
 
 MAX_SWEEP_ROWS = 100_000
@@ -92,7 +92,7 @@ def _cmd_synth(args) -> int:
         circuit = build_oracle(targets)
         bound = None
     else:
-        circuit = engine.build_O_conv(targets)
+        circuit = build_O_conv(targets)
         bound = complexity.bound_O_conv(targets.n, targets.size)
     save_circuit(circuit, args.out)
     cost = complexity.count(circuit)

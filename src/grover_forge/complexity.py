@@ -11,37 +11,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
-from .engine import analytic_schedule, build_D, build_O_conv, build_P
+from .engine import analytic_schedule
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
-from .synth import build_oracle, build_U
+from .synth import build_D, build_O_conv, build_oracle, build_P, build_U
 from .targets import TargetSet
 
 
-def _default_cost(m: int) -> int:
+def gate_cost(m: int) -> int:
+    """Elementary-gate charge of a gate with m controls."""
     return 1 if m <= 1 else m * m
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Elementary-gate charge as a function of control count."""
-
-    cost: Callable[[int], int] = _default_cost
-
-    def __call__(self, m: int) -> int:
-        value = self.cost(m)
-        if value < 0:
-            raise ValidationError("gate cost must be nonnegative")
-        return value
-
-
-DEFAULT_MODEL = CostModel()
-
-
-def count(circuit: Circuit, model: CostModel = DEFAULT_MODEL) -> int:
+def count(circuit: Circuit) -> int:
     """Total elementary-gate charge of a circuit.
 
     A basis-state phase flip on n qubits is charged as an (n-1)-controlled
@@ -50,12 +34,12 @@ def count(circuit: Circuit, model: CostModel = DEFAULT_MODEL) -> int:
     total = 0
     for gate in circuit.gates:
         if isinstance(gate, Controlled):
-            total += model(len(gate.controls))
+            total += gate_cost(len(gate.controls))
         elif isinstance(gate, PatternPhase):
             n = len(gate.pattern)
-            total += model(n - 1) + 2 * gate.pattern.count("0")
+            total += gate_cost(n - 1) + 2 * gate.pattern.count("0")
         else:
-            total += model(0)
+            total += gate_cost(0)
     return total
 
 
@@ -74,10 +58,10 @@ def bound_pi(n: int, s: int) -> int:
     return s * n * (n - 1) ** 2
 
 
-def bound_O_conv(n: int, s: int, model: CostModel = DEFAULT_MODEL) -> int:
+def bound_O_conv(n: int, s: int) -> int:
     """One basis-state phase flip per target: an (n-1)-controlled gate and
     at most 2n X gates around it."""
-    return s * (2 * n + model(n - 1))
+    return s * (2 * n + gate_cost(n - 1))
 
 
 def total_reduced_cost(n: int, s: int, k: int) -> int:
@@ -86,8 +70,15 @@ def total_reduced_cost(n: int, s: int, k: int) -> int:
     return 2 * n ** 3 * s + 2 * k * n ** 2 + 2 * k * l * l * (1 << l)
 
 
+def _check_qubits(n: int) -> None:
+    """The cost ratio is defined for n >= 1 qubits only."""
+    if n < 1:
+        raise ValidationError(f"qubit count must be positive, got {n}")
+
+
 def gamma_approx(n: int, gamma: float) -> float:
     """Large-n approximation of the cost ratio at target density l/n."""
+    _check_qubits(n)
     ln2 = math.log(2)
     terms = [math.log(n) - n * (1 - gamma) / 2 * ln2, -n * gamma * ln2]
     value = gamma * gamma
@@ -102,6 +93,7 @@ def gamma_approx(n: int, gamma: float) -> float:
 def gamma_ratio(n: int, s: int) -> tuple[float, float]:
     """(exact, approximate) ratio of permuted-pipeline cost to conventional
     oracle cost at the square-root iteration budget."""
+    _check_qubits(n)
     if not 1 <= s <= (1 << n):
         raise ValidationError(f"target count {s} out of range for n={n}")
     l = target_bits(s)
@@ -167,8 +159,7 @@ class ComplexityReport:
 
 
 def build_report(targets: TargetSet, k: int | None = None,
-                 pi_mode: str = "paper",
-                 model: CostModel = DEFAULT_MODEL) -> ComplexityReport:
+                 pi_mode: str = "paper") -> ComplexityReport:
     """Count every construction for one target set.
 
     Counting does not require the gray-code chains to be semantically
@@ -185,13 +176,13 @@ def build_report(targets: TargetSet, k: int | None = None,
     oracle_conv = build_O_conv(targets)
     d_circ, p_circ = build_D(n), build_P(n)
     counts = {
-        "U": count(prep, model),
-        "U_tilde": count(prep_tilde, model),
-        "pi_sigma": count(pi_circ, model),
-        "oracle": count(oracle, model),
-        "oracle_conv": count(oracle_conv, model),
-        "D": count(d_circ, model),
-        "P": count(p_circ, model),
+        "U": count(prep),
+        "U_tilde": count(prep_tilde),
+        "pi_sigma": count(pi_circ),
+        "oracle": count(oracle),
+        "oracle_conv": count(oracle_conv),
+        "D": count(d_circ),
+        "P": count(p_circ),
     }
     counts["reduced_run"] = (2 * counts["pi_sigma"]
                              + k * (counts["U_tilde"] * 2 + counts["P"]
@@ -201,7 +192,7 @@ def build_report(targets: TargetSet, k: int | None = None,
         "U": bound_U(n, s),
         "U_tilde": bound_U_tilde(l),
         "pi_sigma": bound_pi(n, s),
-        "oracle_conv": bound_O_conv(n, s, model),
+        "oracle_conv": bound_O_conv(n, s),
         "reduced_run": total_reduced_cost(n, s, k),
     }
     exact, approx = gamma_ratio(n, s)

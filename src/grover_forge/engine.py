@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import (PermutationValidationError, SimulatorLimitError,
                      ValidationError)
-from .ir import (Circuit, H, PatternPhase, Single, StateVector,
-                 _apply_inplace, apply_circuit)
+from .ir import Circuit, StateVector, _apply_inplace, apply_circuit
 from .reduced import build_pi_sigma, build_U_tilde
-from .synth import build_oracle
-from .targets import TargetSet, bitstring
+from .synth import build_D, build_O_conv, build_oracle, reflection
+from .targets import TargetSet
 
 VARIANTS = ("conventional", "modified", "reduced")
 DEFAULT_MAX_QUBITS = 22
@@ -39,26 +38,6 @@ def _max_qubits() -> int:
 def uniform_state(n: int) -> StateVector:
     dim = 1 << n
     return StateVector(n, np.full(dim, dim ** -0.5, dtype=complex))
-
-
-def build_P(n: int) -> Circuit:
-    """Phase flip of the all-zero basis state."""
-    return Circuit(n, (PatternPhase("0" * n, -1),))
-
-
-def build_D(n: int) -> Circuit:
-    """Hadamard-conjugated zero flip; equals the negated inversion about
-    the mean, see the sign handling in the iteration driver."""
-    hs = tuple(Single(H, q) for q in range(n))
-    return Circuit(n, hs + (PatternPhase("0" * n, -1),) + hs)
-
-
-def build_O_conv(targets: TargetSet) -> Circuit:
-    """Sign flip on each individual target, one basis-state phase per
-    target in ascending label order."""
-    n = targets.n
-    gates = tuple(PatternPhase(bitstring(x, n), -1) for x in targets.labels)
-    return Circuit(n, gates)
 
 
 @dataclass(frozen=True)
@@ -123,9 +102,7 @@ class _Run:
         elif variant == "modified":
             self.oracle = build_oracle(targets)
         else:
-            prep = build_U_tilde(targets.size, n)
-            self.oracle = Circuit(
-                n, prep.dagger().gates + build_P(n).gates + prep.gates)
+            self.oracle = reflection(build_U_tilde(targets.size, n))
             self.wrap, self.plan = _resolve_pi(targets, mode)
         self.amps = uniform_state(n).amplitudes.copy()
         if self.wrap is not None:

@@ -30,11 +30,20 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
+def blocks_close(u, v, atol: float = ATOL_UNITARY) -> bool:
+    """Entrywise |u - v| <= atol for two 2x2 blocks.
+
+    The tolerance is absolute only: a relative term would let a block that
+    is 1e-5 away from X, H or the identity pass for it.  NaN never passes.
+    """
+    return bool(np.abs(np.subtract(u, v)).max() <= atol)
+
+
 def _as_unitary(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValidationError(f"gate block must be 2x2, got shape {u.shape}")
-    if not np.allclose(u.conj().T @ u, I2, atol=ATOL_UNITARY):
+    if not blocks_close(u.conj().T @ u, I2):
         raise ValidationError("gate block is not unitary")
     u = u.copy()
     u.flags.writeable = False

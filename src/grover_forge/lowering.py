@@ -11,12 +11,18 @@ two CNOTs plus single-qubit rotations.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
 from .errors import ValidationError
-from .ir import Circuit, Controlled, Gate, PatternPhase, Single, X, ATOL_UNITARY
+from .ir import (ATOL_UNITARY, I2, Circuit, Controlled, Gate, PatternPhase,
+                 Single, X, blocks_close)
+
+# A rotation angle, phase or block this close to zero or the identity is
+# dropped from the lowered circuit.
+ATOL_DROP = 1e-14
 
 
 def _cnot(control: int, target: int) -> Controlled:
@@ -26,7 +32,7 @@ def _cnot(control: int, target: int) -> Controlled:
 def is_cnot(gate: Gate) -> bool:
     return (isinstance(gate, Controlled) and len(gate.controls) == 1
             and gate.controls[0][1] == 1
-            and np.allclose(gate.u, X, atol=1e-9))
+            and blocks_close(gate.u, X))
 
 
 def _is_real_rotation(u: np.ndarray) -> bool:
@@ -74,7 +80,7 @@ def sqrt_unitary(u: np.ndarray) -> np.ndarray:
     v = u * cmath.exp(-1j * alpha)
     c = min(1.0, max(-1.0, (v[0, 0] + v[1, 1]).real / 2))
     theta = math.acos(c)
-    if abs(math.sin(theta)) <= 1e-14:
+    if abs(math.sin(theta)) <= ATOL_DROP:
         if c > 0:
             root = np.eye(2, dtype=complex)
         else:
@@ -87,48 +93,46 @@ def sqrt_unitary(u: np.ndarray) -> np.ndarray:
     return root * cmath.exp(1j * alpha / 2)
 
 
-def _is_identity(u: np.ndarray) -> bool:
-    return np.allclose(u, np.eye(2), atol=1e-14)
-
-
 def _lower_single_control(control: int, u: np.ndarray, target: int) -> list[Gate]:
     """Exact controlled-U on a positive control: two CNOTs, rotations, and a
     phase gate on the control."""
-    if np.allclose(u, X, atol=ATOL_UNITARY):
+    if blocks_close(u, X):
         return [_cnot(control, target)]
     alpha, beta, gamma, delta = zyz_angles(u)
     a = _rz(beta) @ _ry(gamma / 2)
     b = _ry(-gamma / 2) @ _rz(-(delta + beta) / 2)
     c = _rz((delta - beta) / 2)
     out: list[Gate] = []
-    if not _is_identity(c):
+    if not blocks_close(c, I2, ATOL_DROP):
         out.append(Single(c, target))
     out.append(_cnot(control, target))
-    if not _is_identity(b):
+    if not blocks_close(b, I2, ATOL_DROP):
         out.append(Single(b, target))
     out.append(_cnot(control, target))
-    if not _is_identity(a):
+    if not blocks_close(a, I2, ATOL_DROP):
         out.append(Single(a, target))
-    if abs(alpha) > 1e-14:
+    if abs(alpha) > ATOL_DROP:
         out.append(Single(np.diag([1, cmath.exp(1j * alpha)]), control))
     return out
 
 
 def _lower_positive_controls(controls: list[int], u: np.ndarray,
                              target: int) -> list[Gate]:
-    """Recursive control reduction for an all-positive multi-control."""
+    """Recursive control reduction for an all-positive multi-control.
+
+    The C^{m-1}X toggle on the last control appears twice; its gates are
+    immutable, so one lowered copy is spliced into both places.
+    """
     if not controls:
         return [Single(u, target)]
     if len(controls) == 1:
         return _lower_single_control(controls[0], u, target)
     v = sqrt_unitary(u)
     rest, last = controls[:-1], controls[-1]
-    out = _lower_positive_controls(rest, v, target)
-    out += _lower_positive_controls(rest, X, last)
-    out += _lower_single_control(last, v.conj().T, target)
-    out += _lower_positive_controls(rest, X, last)
-    out += _lower_single_control(last, v, target)
-    return out
+    toggle = _lower_positive_controls(rest, X, last)
+    return (_lower_positive_controls(rest, v, target) + toggle
+            + _lower_single_control(last, v.conj().T, target) + toggle
+            + _lower_single_control(last, v, target))
 
 
 def _lower_multi_controlled(gate: Controlled) -> list[Gate]:
@@ -182,12 +186,19 @@ def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
         phi[k] = acc / size
     out: list[Gate] = []
     for k in range(size):
-        if abs(phi[k]) > 1e-14:
+        if abs(phi[k]) > ATOL_DROP:
             out.append(Single(_ry(phi[k]), target))
         diff = _gray(k) ^ _gray((k + 1) % size)
         bit_pos = diff.bit_length() - 1
         out.append(_cnot(qubits[m - 1 - bit_pos], target))
     return out
+
+
+def _rotation_run_key(gate: Gate):
+    """(target, control qubits) of a controlled real rotation, else None."""
+    if isinstance(gate, Controlled) and _is_real_rotation(gate.u):
+        return gate.target, frozenset(q for q, _ in gate.controls)
+    return None
 
 
 def lower(circuit: Circuit) -> Circuit:
@@ -196,34 +207,17 @@ def lower(circuit: Circuit) -> Circuit:
     Semantics are preserved exactly up to a global phase.
     """
     out: list[Gate] = []
-    gates = list(circuit.gates)
-    i = 0
-    while i < len(gates):
-        gate = gates[i]
-        if isinstance(gate, Single):
-            out.append(gate)
-            i += 1
-        elif isinstance(gate, PatternPhase):
-            out += _lower_pattern_phase(gate, circuit.n)
-            i += 1
-        elif _is_real_rotation(gate.u):
-            run = [gate]
-            key = (gate.target, frozenset(q for q, _ in gate.controls))
-            j = i + 1
-            while j < len(gates):
-                nxt = gates[j]
-                if (isinstance(nxt, Controlled) and _is_real_rotation(nxt.u)
-                        and (nxt.target,
-                             frozenset(q for q, _ in nxt.controls)) == key):
-                    run.append(nxt)
-                    j += 1
-                else:
-                    break
-            out += _lower_rotation_run(run)
-            i = j
-        else:
-            out += _lower_multi_controlled(gate)
-            i += 1
+    for key, group in itertools.groupby(circuit.gates, _rotation_run_key):
+        if key is not None:
+            out += _lower_rotation_run(list(group))
+            continue
+        for gate in group:
+            if isinstance(gate, Single):
+                out.append(gate)
+            elif isinstance(gate, PatternPhase):
+                out += _lower_pattern_phase(gate, circuit.n)
+            else:
+                out += _lower_multi_controlled(gate)
     lowered = Circuit(circuit.n, tuple(out))
     for gate in lowered.gates:
         if isinstance(gate, PatternPhase):

@@ -1,18 +1,18 @@
 """OpenQASM 2.0 export of lowered circuits.
 
 Only the lowered gate alphabet is accepted: single-qubit unitaries and
-CNOTs.  Single-qubit blocks are emitted as h/x/ry/rz where they match one
-exactly and as an rz-ry-rz triple otherwise; global phase is dropped.
+CNOTs.  A single-qubit block is emitted as x or h where it matches one
+within ATOL_UNITARY entrywise, as nothing where it matches the identity,
+and as an rz-ry-rz triple otherwise; global phase is dropped.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ValidationError
-from .ir import Circuit, Controlled, H, Single, X
+from .ir import (ATOL_UNITARY, I2, Circuit, Controlled, H, Single, X,
+                 blocks_close)
 from .lowering import is_cnot, zyz_angles
-
-_ATOL = 1e-10
 
 
 def _fmt(angle: float) -> str:
@@ -20,19 +20,19 @@ def _fmt(angle: float) -> str:
 
 
 def _single_lines(u: np.ndarray, q: int) -> list[str]:
-    if np.allclose(u, np.eye(2), atol=_ATOL):
+    if blocks_close(u, I2):
         return []
-    if np.allclose(u, X, atol=_ATOL):
+    if blocks_close(u, X):
         return [f"x q[{q}];"]
-    if np.allclose(u, H, atol=_ATOL):
+    if blocks_close(u, H):
         return [f"h q[{q}];"]
     _, beta, gamma, delta = zyz_angles(u)  # global phase dropped
     lines = []
-    if abs(delta) > _ATOL:
+    if abs(delta) > ATOL_UNITARY:
         lines.append(f"rz({_fmt(delta)}) q[{q}];")
-    if abs(gamma) > _ATOL:
+    if abs(gamma) > ATOL_UNITARY:
         lines.append(f"ry({_fmt(gamma)}) q[{q}];")
-    if abs(beta) > _ATOL:
+    if abs(beta) > ATOL_UNITARY:
         lines.append(f"rz({_fmt(beta)}) q[{q}];")
     return lines
 

@@ -1,4 +1,5 @@
-"""Staged synthesis of the target-superposition preparation circuit.
+"""Staged synthesis of the target-superposition preparation circuit, and
+the other circuits a search iteration is built from.
 
 Stage 1 rotates the first qubit by the marginal split of the targets;
 stage m rotates qubit m conditioned on each populated (m-1)-bit prefix.
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 from .dichotomy import PrefixTable, build_prefix_table, conditional_prob, marginal_prob
 from .errors import ValidationError
-from .ir import Circuit, Controlled, Gate, PatternPhase, Single, ry_from_probs
-from .targets import TargetSet
+from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
+                 ry_from_probs)
+from .targets import TargetSet, bitstring
 
 
 def build_stage(table: PrefixTable, m: int) -> Circuit:
@@ -62,8 +64,33 @@ def build_U(targets: TargetSet) -> Circuit:
     return Circuit(targets.n, tuple(gates))
 
 
+def build_P(n: int) -> Circuit:
+    """Phase flip of the all-zero basis state."""
+    return Circuit(n, (PatternPhase("0" * n, -1),))
+
+
+def build_D(n: int) -> Circuit:
+    """Hadamard-conjugated zero flip; equals the negated inversion about
+    the mean, see the sign handling in `engine`."""
+    hs = tuple(Single(H, q) for q in range(n))
+    return Circuit(n, hs + build_P(n).gates + hs)
+
+
+def build_O_conv(targets: TargetSet) -> Circuit:
+    """Sign flip on each individual target, one basis-state phase per
+    target in ascending label order."""
+    n = targets.n
+    gates = tuple(PatternPhase(bitstring(x, n), -1) for x in targets.labels)
+    return Circuit(n, gates)
+
+
+def reflection(prep: Circuit) -> Circuit:
+    """Reflection about prep|0...0>: prep . P . prep^dagger, so the gate
+    list runs prep^dagger, the zero flip, then prep."""
+    return Circuit(prep.n,
+                   prep.dagger().gates + build_P(prep.n).gates + prep.gates)
+
+
 def build_oracle(targets: TargetSet) -> Circuit:
     """Reflection about the target superposition: U . P . U^dagger."""
-    prep = build_U(targets)
-    flip = PatternPhase("0" * targets.n, -1)
-    return Circuit(targets.n, prep.dagger().gates + (flip,) + prep.gates)
+    return reflection(build_U(targets))

@@ -16,11 +16,6 @@ def bitstring(x: int, n: int) -> str:
     return format(x, f"0{n}b")
 
 
-def bit_at(x: int, q: int, n: int) -> int:
-    """Value of qubit q (0 = most significant) in label x."""
-    return (x >> (n - 1 - q)) & 1
-
-
 def prefix_of(x: int, m: int, n: int) -> int:
     """The first m bits of x, read MSB-first, as an integer in [0, 2^m)."""
     return x >> (n - m)

@@ -148,6 +148,18 @@ def test_compare_bad_sweep_writes_nothing(tmp_path, capsys, sweep):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "0", "--s", "1"],
+    ["--n", "-1", "--s", "1"],
+    ["--sweep", "n=0", "gamma=0.5"],
+])
+def test_compare_rejects_nonpositive_n(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    assert main(["compare", *argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validation_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("hello\n")

@@ -8,15 +8,12 @@ from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           build_pi_sigma, build_report, build_U, build_U_tilde,
                           canonical_targets, count, gamma_approx, gamma_ratio,
                           sweep_gamma)
-from grover_forge.complexity import CostModel, total_reduced_cost
+from grover_forge.complexity import gate_cost, total_reduced_cost
 from grover_forge.ir import H, X
 
 
 def test_cost_model_default():
-    model = CostModel()
-    assert [model(m) for m in range(5)] == [1, 1, 4, 9, 16]
-    with pytest.raises(ValidationError):
-        CostModel(lambda m: -1)(2)
+    assert [gate_cost(m) for m in range(5)] == [1, 1, 4, 9, 16]
 
 
 def test_count_by_gate_kind():
@@ -47,8 +44,7 @@ def test_counts_respect_bounds(seed):
     assert count(build_U_tilde(s, n)) <= bound_U_tilde(l)
     pi_circ, _ = build_pi_sigma(targets, "paper", validate=False)
     assert count(pi_circ) <= bound_pi(n, s)
-    model = CostModel()
-    assert count(build_O_conv(targets)) <= s * (2 * n + model(n - 1))
+    assert count(build_O_conv(targets)) <= s * (2 * n + gate_cost(n - 1))
 
 
 def test_gamma_ratio_small_case_by_hand():

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import dense_gate_matrix, phase_align, random_unitary_2x2
+
+import grover_forge
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           StateVector, ValidationError, apply, apply_circuit,
@@ -42,6 +45,24 @@ def test_gate_validation():
         Controlled(((0, 1),), X, 0)
     with pytest.raises(ValidationError, match="modulus"):
         PatternPhase("01", 2.0)
+
+
+def test_unitarity_tolerance_is_absolute():
+    # |u^H u - I| is 8e-6 on the diagonal: far outside ATOL_UNITARY, though
+    # a relative tolerance of 1e-5 would accept it.
+    with pytest.raises(ValidationError, match="unitary"):
+        Single(np.diag([1 + 4e-6, 1]), 0)
+    with pytest.raises(ValidationError, match="unitary"):
+        Single(np.array([[np.nan, 0], [0, 1]]), 0)
+
+
+def test_one_block_comparison_in_package():
+    # Block decisions go through ir.blocks_close; numpy's allclose/isclose
+    # would add a hidden relative tolerance.
+    src = Path(grover_forge.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "allclose" not in text and "isclose" not in text, path.name
 
 
 def test_apply_x_sets_bit():

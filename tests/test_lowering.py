@@ -88,6 +88,24 @@ def test_pattern_phase_lowering():
     assert_equivalent(circuit, lowered)
 
 
+def test_small_phase_rotations_kept():
+    # Rz rotations of 2.5e-6 rad differ from the identity by less than a
+    # relative 1e-5 but must still be emitted.
+    circuit = Circuit(2, (PatternPhase("11", np.exp(1j * 1e-5)),))
+    lowered = lower(circuit)
+    assert only_basis_gates(lowered)
+    assert_equivalent(circuit, lowered)
+
+
+def test_near_x_block_is_not_a_cnot():
+    # 1e-5 away from X: a bare CNOT would be off by 1e-5.
+    circuit = Circuit(2, (Controlled(((0, 1),),
+                                     X @ np.diag([1, np.exp(1j * 1e-5)]), 1),))
+    lowered = lower(circuit)
+    assert only_basis_gates(lowered)
+    assert_equivalent(circuit, lowered)
+
+
 def test_mixed_polarity_multi_control():
     rng = np.random.default_rng(3)
     circuit = Circuit(4, (Controlled(((0, 0), (1, 1), (3, 0)),
