@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
 from .engine import analytic_schedule
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
-from .synth import build_D, build_O_conv, build_oracle, build_P, build_U
+from .synth import build_D, build_O_conv, build_P, build_U, reflection
 from .targets import TargetSet
 
 
@@ -172,7 +172,7 @@ def build_report(targets: TargetSet, k: int | None = None,
     prep = build_U(targets)
     prep_tilde = build_U_tilde(s, n)
     pi_circ, _ = build_pi_sigma(targets, pi_mode, validate=False)
-    oracle = build_oracle(targets)
+    oracle = reflection(prep)
     oracle_conv = build_O_conv(targets)
     d_circ, p_circ = build_D(n), build_P(n)
     counts = {

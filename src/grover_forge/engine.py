@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (PermutationValidationError, SimulatorLimitError,
-                     ValidationError)
+from .errors import SimulatorLimitError, ValidationError
 from .ir import Circuit, StateVector, _apply_inplace, apply_circuit
 from .reduced import build_pi_sigma, build_U_tilde
 from .synth import build_D, build_O_conv, build_oracle, reflection
@@ -72,15 +71,6 @@ def success_probability(state: StateVector, targets: TargetSet) -> float:
     return float(sum(abs(amps[x]) ** 2 for x in targets.labels))
 
 
-def _resolve_pi(targets: TargetSet, mode: str):
-    if mode == "auto":
-        try:
-            return build_pi_sigma(targets, "paper")
-        except PermutationValidationError:
-            return build_pi_sigma(targets, "exact")
-    return build_pi_sigma(targets, mode)
-
-
 class _Run:
     """One search run: oracle + inversion steps over a mutable amplitude
     array, with the optional permutation sandwich of the reduced variant."""
@@ -103,7 +93,7 @@ class _Run:
             self.oracle = build_oracle(targets)
         else:
             self.oracle = reflection(build_U_tilde(targets.size, n))
-            self.wrap, self.plan = _resolve_pi(targets, mode)
+            self.wrap, _ = build_pi_sigma(targets, mode)
         self.amps = uniform_state(n).amplitudes.copy()
         if self.wrap is not None:
             for gate in self.wrap.dagger().gates:

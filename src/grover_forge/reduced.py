@@ -98,20 +98,23 @@ class PermutationPlan:
         }
 
 
-def _classical_image(gates, x: int, n: int) -> int:
-    for gate in gates:
-        controls = getattr(gate, "controls", ())
-        if all((x >> (n - 1 - q)) & 1 == b for q, b in controls):
-            x ^= 1 << (n - 1 - gate.target)
-    return x
+def _paper_carries(targets: TargetSet, canon: TargetSet, paths) -> bool:
+    """Whether the reversed gray chains carry canon onto the targets.
+
+    Each gray step is an X controlled on all other qubits: it swaps exactly
+    its two labels, so the labels alone decide, before any gate exists."""
+    held = set(canon.labels)
+    for path in paths:
+        for i in reversed(range(len(path) - 1)):
+            s, t = path[i], path[i + 1]
+            if (s in held) != (t in held):
+                held ^= {s, t}
+    return held == targets.label_set
 
 
-def _validate_paper_mode(gates, targets: TargetSet, canon: TargetSet,
-                         paths) -> None:
+def _collision_error(targets: TargetSet, canon: TargetSet,
+                     paths) -> PermutationValidationError:
     n = targets.n
-    images = {x: _classical_image(gates, x, n) for x in canon.labels}
-    if set(images.values()) == targets.label_set:
-        return
     touched = targets.label_set | canon.label_set
     seen: dict[int, int] = {}
     colliding = set()
@@ -121,7 +124,7 @@ def _validate_paper_mode(gates, targets: TargetSet, canon: TargetSet,
                 colliding.add(s)
             seen[s] = idx
     names = ", ".join(bitstring(s, n) for s in sorted(colliding))
-    raise PermutationValidationError(
+    return PermutationValidationError(
         "gray-code chains do not map the canonical targets onto the "
         f"requested set (colliding basis states: {names or 'none found'}); "
         "use mode='exact'", colliding=sorted(colliding))
@@ -131,12 +134,13 @@ def build_pi_sigma(targets: TargetSet, mode: str = "paper",
                    validate: bool = True) -> tuple[Circuit, PermutationPlan]:
     """Permutation circuit carrying the canonical targets onto `targets`.
 
-    paper mode emits one multi-controlled X per gray step and validates
-    that the setwise image is correct (overlapping chains can break it);
+    paper mode emits one multi-controlled X per gray step and, unless
+    validate=False, checks that overlapping chains keep the setwise image;
     exact mode emits the palindrome realizing each pair's transposition
-    exactly, at up to twice the gate count.
+    exactly, at up to twice the gate count; auto builds paper mode when
+    its check passes and exact mode otherwise.  plan.mode is the one built.
     """
-    if mode not in ("paper", "exact"):
+    if mode not in ("paper", "exact", "auto"):
         raise ValidationError(f"unknown permutation mode {mode!r}")
     n = targets.n
     canon, _ = canonical_targets(targets)
@@ -145,6 +149,11 @@ def build_pi_sigma(targets: TargetSet, mode: str = "paper",
     c_side = sorted(canon.label_set - shared)
     pairs = tuple(zip(b_side, c_side))
     paths = tuple(tuple(gray_path(x, y, n)) for x, y in pairs)
+    if mode == "auto":
+        mode = "paper" if _paper_carries(targets, canon, paths) else "exact"
+    elif (mode == "paper" and validate
+          and not _paper_carries(targets, canon, paths)):
+        raise _collision_error(targets, canon, paths)
 
     gates: list[Gate] = []
     for path in paths:
@@ -157,9 +166,6 @@ def build_pi_sigma(targets: TargetSet, mode: str = "paper",
         else:
             gates.extend(steps)
             gates.extend(reversed(steps[:-1]))
-
-    if mode == "paper" and validate and pairs:
-        _validate_paper_mode(gates, targets, canon, paths)
 
     plan = PermutationPlan(n=n, mode=mode, pairs=pairs, paths=paths)
     return Circuit(n, tuple(gates)), plan

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from grover_forge import TargetSet
 from grover_forge.ir import Controlled, PatternPhase, Single
@@ -16,6 +17,16 @@ def random_target_set(rng, n, max_size=None):
     size = int(rng.integers(1, top + 1))
     labels = rng.choice(1 << n, size=size, replace=False)
     return TargetSet(n, tuple(sorted(int(x) for x in labels)))
+
+
+@st.composite
+def target_sets(draw, min_n, max_n, max_size=None):
+    """Hypothesis strategy: a nonempty set on min_n..max_n qubits."""
+    n = draw(st.integers(min_n, max_n))
+    top = min(1 << n, max_size or (1 << n))
+    labels = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=top))
+    return TargetSet(n, tuple(sorted(labels)))
 
 
 def random_unitary_2x2(rng):

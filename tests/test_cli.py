@@ -168,5 +168,21 @@ def test_validation_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    '{"n": "x", "targets": [1]}',
+    '{"n": 3, "targets": [null]}',
+    '{"n": 3, "targets": 5}',
+    '{"n": 3, "targets": [1.5, 2]}',
+    '{"n": 3, "targets": [true]}',
+    '{"n": 2.7, "targets": [1]}',
+])
+def test_json_targets_need_integers(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert main(["simulate", "--targets", str(path),
+                 "--variant", "conventional", "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_compare_needs_arguments(capsys):
     assert main(["compare"]) == 2

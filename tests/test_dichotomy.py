@@ -1,7 +1,13 @@
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import target_sets
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_forge import (TargetSet, ValidationError, build_prefix_table,
                           conditional_prob, marginal_prob, parse_target_file)
@@ -149,6 +155,20 @@ def test_parse_json_file(tmp_path):
     path.write_text('{"n": 3, "targets": [4, 0, 2, 1]}')
     targets = parse_target_file(path)
     assert targets.labels == (0, 1, 2, 4)
+
+
+@settings(derandomize=True, deadline=None)
+@given(target_sets(1, 8, max_size=40), st.randoms(use_true_random=False))
+def test_target_file_round_trip(targets, rnd):
+    labels = list(targets.labels)
+    rnd.shuffle(labels)
+    bodies = {"s.json": json.dumps({"n": targets.n, "targets": labels}),
+              "s.txt": "\n".join([f"n={targets.n}", *targets.bitstrings()])}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, body in bodies.items():
+            path = Path(tmp) / name
+            path.write_text(body)
+            assert parse_target_file(path) == targets
 
 
 def test_parse_rejects_duplicates(tmp_path):

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dense_gate_matrix, phase_align, random_unitary_2x2
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grover_forge
 
@@ -196,3 +198,38 @@ def test_json_round_trip_bit_exact():
     state = StateVector(3, np.full(8, 8 ** -0.5, dtype=complex))
     assert np.array_equal(apply_circuit(state, loaded).amplitudes,
                           apply_circuit(state, circuit).amplitudes)
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["single", "controlled", "pattern"]))
+        if kind == "pattern":
+            pattern = "".join(draw(st.lists(st.sampled_from("01"),
+                                            min_size=n, max_size=n)))
+            angle = draw(st.floats(-np.pi, np.pi))
+            gates.append(PatternPhase(pattern, np.exp(1j * angle)))
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 999)))
+        u = random_unitary_2x2(rng)
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        if kind == "single" or not others:
+            gates.append(Single(u, target))
+            continue
+        qubits = draw(st.lists(st.sampled_from(others), min_size=1,
+                               unique=True))
+        controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
+        gates.append(Controlled(controls, u, target))
+    return Circuit(n, tuple(gates))
+
+
+@settings(derandomize=True, deadline=None)
+@given(circuits())
+def test_json_round_trip_drawn(circuit):
+    blob = json.dumps(circuit_to_json(circuit))
+    loaded = circuit_from_json(json.loads(blob))
+    assert circuit_to_json(loaded) == circuit_to_json(circuit)
+    assert np.array_equal(unitary_of(loaded), unitary_of(circuit))

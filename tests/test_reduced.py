@@ -1,11 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from conftest import random_target_set
+from conftest import random_target_set, target_sets
+from hypothesis import given, settings
 
 from grover_forge import (Controlled, PermutationValidationError, TargetSet,
                           ValidationError, apply_circuit, build_pi_sigma,
-                          build_U_tilde, canonical_targets, gray_path,
-                          unitary_of)
+                          build_U_tilde, canonical_targets, circuit_to_json,
+                          gray_path, reduced, unitary_of)
 from grover_forge.ir import StateVector
 from grover_forge.targets import bitstring
 
@@ -164,3 +167,59 @@ def test_plan_json_uses_bitstrings(example_targets):
     assert blob["pairs"] == [["100", "011"]]
     assert blob["paths"] == [["100", "101", "111", "011"]]
     assert blob["mode"] == "paper" and blob["n"] == 3
+
+
+def assert_paper_check_matches_dense(targets):
+    """paper mode raises exactly when its unchecked circuit, run densely,
+    misses the requested set."""
+    circuit, _ = build_pi_sigma(targets, "paper", validate=False)
+    image = permutation_image(circuit)
+    canon, _ = canonical_targets(targets)
+    carried = {image[x] for x in canon.labels} == targets.label_set
+    try:
+        build_pi_sigma(targets, "paper")
+    except PermutationValidationError:
+        assert not carried
+    else:
+        assert carried
+
+
+def test_paper_check_matches_dense_image_small_n():
+    count = 0
+    for n in (1, 2, 3):
+        for size in range(1, (1 << n) + 1):
+            for labels in combinations(range(1 << n), size):
+                assert_paper_check_matches_dense(TargetSet(n, labels))
+                count += 1
+    assert count == 273
+
+
+@settings(derandomize=True, deadline=None)
+@given(target_sets(4, 6))
+def test_paper_check_matches_dense_image_drawn(targets):
+    assert_paper_check_matches_dense(targets)
+
+
+def test_auto_mode_builds_the_mode_it_chose(example_targets):
+    circuit, plan = build_pi_sigma(example_targets, "auto")
+    paper, _ = build_pi_sigma(example_targets, "paper")
+    assert plan.mode == "paper"
+    assert circuit_to_json(circuit) == circuit_to_json(paper)
+    colliding = TargetSet(3, (1, 2, 3))
+    circuit, plan = build_pi_sigma(colliding, "auto")
+    exact, _ = build_pi_sigma(colliding, "exact")
+    assert plan.mode == "exact"
+    assert circuit_to_json(circuit) == circuit_to_json(exact)
+
+
+def test_paper_check_runs_before_any_gate(monkeypatch):
+    def no_gates(*args):
+        raise AssertionError("gate built")
+
+    monkeypatch.setattr(reduced, "_transposition_gate", no_gates)
+    targets = TargetSet(3, (1, 2, 3))
+    with pytest.raises(PermutationValidationError) as info:
+        build_pi_sigma(targets, "paper")
+    assert tuple(info.value.colliding) == (2,)
+    with pytest.raises(AssertionError, match="gate built"):
+        build_pi_sigma(targets, "exact")
