@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "oracle-conv"])
     synth.add_argument("--out", required=True, help="circuit JSON path")
     synth.add_argument("--qasm", help="also write a lowered OpenQASM file")
-    synth.add_argument("--mode", choices=["paper", "exact"], default="paper",
+    synth.add_argument("--mode", choices=["paper", "exact", "auto"],
+                       default="auto",
                        help="permutation construction (pi-sigma only)")
 
     sim = sub.add_parser("simulate", help="run search iterations")

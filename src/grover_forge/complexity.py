@@ -34,7 +34,7 @@ def count(circuit: Circuit) -> int:
     total = 0
     for gate in circuit.gates:
         if isinstance(gate, Controlled):
-            total += gate_cost(len(gate.controls))
+            total += gate_cost(gate.mask.bit_count())
         elif isinstance(gate, PatternPhase):
             n = len(gate.pattern)
             total += gate_cost(n - 1) + 2 * gate.pattern.count("0")

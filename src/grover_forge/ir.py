@@ -4,7 +4,9 @@ Three gate kinds cover everything the synthesis passes emit:
 
 * ``Single``       -- an arbitrary 2x2 unitary on one qubit.
 * ``Controlled``   -- a 2x2 unitary applied where every control qubit
-                      matches its required bit (polarities may mix 0s and 1s).
+                      matches its required bit (polarities may mix 0s and 1s);
+                      the controls are two ints, a qubit mask and the bits
+                      it requires.
 * ``PatternPhase`` -- multiplies the amplitude of one basis state by a
                       unit-modulus phase.
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 
 ATOL_UNITARY = 1e-12
 
@@ -57,32 +59,88 @@ class Single:
 
     def __post_init__(self):
         object.__setattr__(self, "u", _as_unitary(self.u))
+        object.__setattr__(self, "target", as_int(self.target, "gate target"))
 
     def dagger(self) -> "Single":
         return Single(self.u.conj().T, self.target)
 
 
+def qubit_bits(label: int, n: int) -> int:
+    """An MSB-first n-bit label as a qubit-indexed int: bit q of the result
+    is the bit that qubit q holds in the label."""
+    return int(format(label, f"0{n}b")[::-1], 2)
+
+
+_DISTINCT = ("control qubits must be distinct from each other and from the "
+             "target")
+
+
 @dataclass(frozen=True)
 class Controlled:
-    controls: tuple[tuple[int, int], ...]
+    """A 2x2 unitary on `target`, applied where every control qubit holds
+    its required bit.
+
+    Bit q of `mask` is set exactly when qubit q is a control, and bit q of
+    `value` is the bit that control qubit q requires.  Bit 0 is qubit 0: a
+    gate does not know n, so these ints are indexed by qubit, not read
+    MSB-first like labels and bitstrings.  Every check is a few big-int
+    operations, whatever the number of controls.
+    """
+
+    mask: int
+    value: int
     u: np.ndarray
     target: int
 
     def __post_init__(self):
         object.__setattr__(self, "u", _as_unitary(self.u))
-        controls = tuple((int(q), int(b)) for q, b in self.controls)
-        if not controls:
+        mask = as_int(self.mask, "control mask")
+        value = as_int(self.value, "control value")
+        target = as_int(self.target, "gate target")
+        if mask <= 0:
             raise ValidationError("controlled gate needs at least one control")
-        qubits = [q for q, _ in controls]
-        if len(set(qubits)) != len(qubits) or self.target in qubits:
-            raise ValidationError("control qubits must be distinct from each "
-                                  "other and from the target")
-        if any(b not in (0, 1) for _, b in controls):
-            raise ValidationError("control polarity must be 0 or 1")
-        object.__setattr__(self, "controls", controls)
+        if target < 0:
+            raise ValidationError(f"qubit index {target} out of range")
+        if value & ~mask:
+            raise ValidationError("control value sets a bit outside the mask")
+        if (mask >> target) & 1:
+            raise ValidationError(_DISTINCT)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "target", target)
+
+    @classmethod
+    def from_pairs(cls, controls, u, target, n: int | None = None
+                   ) -> "Controlled":
+        """The gate controlled on (qubit, required bit) pairs, in any order.
+
+        When n is given, every control qubit must lie below it; the check
+        runs before the qubit's mask bit is built, so a wild index in a
+        circuit file costs no memory.
+        """
+        mask = value = 0
+        for q, b in controls:
+            q = as_int(q, "control qubit")
+            b = as_int(b, "control bit")
+            if q < 0 or (n is not None and q >= n):
+                raise ValidationError(f"qubit index {q} out of range")
+            if b not in (0, 1):
+                raise ValidationError("control polarity must be 0 or 1")
+            if (mask >> q) & 1:
+                raise ValidationError(_DISTINCT)
+            mask |= 1 << q
+            value |= b << q
+        return cls(mask, value, u, target)
+
+    @property
+    def controls(self) -> tuple[tuple[int, int], ...]:
+        """(qubit, required bit) pairs in ascending qubit order."""
+        bits = reversed(format(self.mask, "b"))
+        return tuple((q, (self.value >> q) & 1)
+                     for q, c in enumerate(bits) if c == "1")
 
     def dagger(self) -> "Controlled":
-        return Controlled(self.controls, self.u.conj().T, self.target)
+        return Controlled(self.mask, self.value, self.u.conj().T, self.target)
 
 
 @dataclass(frozen=True)
@@ -105,27 +163,25 @@ class PatternPhase:
 Gate = Single | Controlled | PatternPhase
 
 
-def _gate_qubits(gate: Gate) -> list[int]:
-    if isinstance(gate, Single):
-        return [gate.target]
-    if isinstance(gate, Controlled):
-        return [gate.target, *(q for q, _ in gate.controls)]
-    return list(range(len(gate.pattern)))
-
-
 @dataclass(frozen=True)
 class Circuit:
     n: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        n = as_int(self.n, "qubit count")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
-            if isinstance(gate, PatternPhase) and len(gate.pattern) != self.n:
-                raise ValidationError("pattern length must equal qubit count")
-            for q in _gate_qubits(gate):
-                if not 0 <= q < self.n:
-                    raise ValidationError(f"qubit index {q} out of range")
+            if isinstance(gate, PatternPhase):
+                if len(gate.pattern) != n:
+                    raise ValidationError(
+                        "pattern length must equal qubit count")
+            elif not 0 <= gate.target < n:
+                raise ValidationError(f"qubit index {gate.target} out of range")
+            elif isinstance(gate, Controlled) and gate.mask.bit_length() > n:
+                raise ValidationError(
+                    f"qubit index {gate.mask.bit_length() - 1} out of range")
 
     def dagger(self) -> "Circuit":
         return Circuit(self.n, tuple(g.dagger() for g in reversed(self.gates)))
@@ -148,6 +204,9 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, x: int) -> "StateVector":
+        x = as_int(x, "basis state")
+        if not 0 <= x < 1 << n:
+            raise ValidationError(f"basis state {x} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=complex)
         amps[x] = 1.0
         return cls(n, amps)
@@ -172,8 +231,16 @@ def _apply_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
         view[tuple(int(b) for b in gate.pattern)] *= gate.phase
         return
     index = [slice(None)] * n
-    for q, b in getattr(gate, "controls", ()):
-        index[q] = b
+    if isinstance(gate, Controlled):
+        # The simulator limit keeps masks narrow here, where a shift loop
+        # beats decoding them through a string or a list.
+        mask, value, q = gate.mask, gate.value, 0
+        while mask:
+            if mask & 1:
+                index[q] = value & 1
+            mask >>= 1
+            value >>= 1
+            q += 1
     index[gate.target] = 0
     # The trailing Ellipsis keeps a fully indexed slice a 0-d view, not a
     # scalar copy.
@@ -261,21 +328,22 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def circuit_from_json(data: dict) -> Circuit:
+    n = as_int(data["n"], "qubit count")
     gates = []
     for entry in data["gates"]:
         kind = entry["kind"]
         if kind == "single":
             gates.append(Single(_block_from_json(entry["u"]), entry["target"]))
         elif kind == "controlled":
-            controls = tuple((q, b) for q, b in entry["controls"])
-            gates.append(Controlled(controls, _block_from_json(entry["u"]),
-                                    entry["target"]))
+            gates.append(Controlled.from_pairs(
+                entry["controls"], _block_from_json(entry["u"]),
+                entry["target"], n))
         elif kind == "pattern_phase":
             re, im = entry["phase"]
             gates.append(PatternPhase(entry["pattern"], complex(re, im)))
         else:
             raise ValidationError(f"unknown gate kind {kind!r}")
-    return Circuit(int(data["n"]), tuple(gates))
+    return Circuit(n, tuple(gates))
 
 
 def save_circuit(circuit: Circuit, path) -> None:

@@ -26,12 +26,14 @@ ATOL_DROP = 1e-14
 
 
 def _cnot(control: int, target: int) -> Controlled:
-    return Controlled(((control, 1),), X, target)
+    return Controlled(1 << control, 1 << control, X, target)
 
 
 def is_cnot(gate: Gate) -> bool:
-    return (isinstance(gate, Controlled) and len(gate.controls) == 1
-            and gate.controls[0][1] == 1
+    """One positive control (a power-of-two mask, all required bits 1)
+    and an X block."""
+    return (isinstance(gate, Controlled) and gate.value == gate.mask
+            and gate.mask & (gate.mask - 1) == 0
             and blocks_close(gate.u, X))
 
 
@@ -165,14 +167,13 @@ def _gray(k: int) -> int:
 def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
     """Joint lowering of controlled rotations sharing target and controls."""
     target = run[0].target
-    qubits = sorted(q for q, _ in run[0].controls)
+    qubits = [q for q, _ in run[0].controls]
     m = len(qubits)
     theta = np.zeros(1 << m)
     for gate in run:
-        bits = dict(gate.controls)
         pattern = 0
-        for i, q in enumerate(qubits):
-            pattern |= bits[q] << (m - 1 - i)
+        for i, (_, b) in enumerate(gate.controls):
+            pattern |= b << (m - 1 - i)
         theta[pattern] += _rotation_angle(gate.u)
     # Angle transform: theta[a] = sum_k (-1)^{popcount(a & gray(k))} phi[k].
     size = 1 << m
@@ -195,9 +196,9 @@ def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
 
 
 def _rotation_run_key(gate: Gate):
-    """(target, control qubits) of a controlled real rotation, else None."""
+    """(target, control mask) of a controlled real rotation, else None."""
     if isinstance(gate, Controlled) and _is_real_rotation(gate.u):
-        return gate.target, frozenset(q for q, _ in gate.controls)
+        return gate.target, gate.mask
     return None
 
 

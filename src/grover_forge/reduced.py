@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PermutationValidationError, ValidationError
-from .ir import Circuit, Controlled, Gate, Single, X
+from .ir import Circuit, Controlled, Gate, Single, X, qubit_bits
 from .synth import build_U
 from .targets import TargetSet, bitstring
 
@@ -45,8 +45,8 @@ def build_U_tilde(size: int, n: int) -> Circuit:
         if isinstance(gate, Single):
             gates.append(Single(gate.u, gate.target + shift))
         else:
-            controls = tuple((q + shift, b) for q, b in gate.controls)
-            gates.append(Controlled(controls, gate.u, gate.target + shift))
+            gates.append(Controlled(gate.mask << shift, gate.value << shift,
+                                    gate.u, gate.target + shift))
     return Circuit(n, tuple(gates))
 
 
@@ -72,12 +72,11 @@ def _transposition_gate(s: int, t: int, n: int) -> Gate:
     diff = s ^ t
     flip_bit = diff.bit_length() - 1
     target = n - 1 - flip_bit
-    controls = tuple((q, (s >> (n - 1 - q)) & 1)
-                     for q in range(n) if q != target)
-    if not controls:
+    mask = ((1 << n) - 1) ^ (1 << target)
+    if not mask:
         # On one qubit the swap of the two labels is a bare X.
         return Single(X, target)
-    return Controlled(controls, X, target)
+    return Controlled(mask, qubit_bits(s, n) & mask, X, target)
 
 
 @dataclass(frozen=True)

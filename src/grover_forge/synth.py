@@ -12,7 +12,7 @@ from __future__ import annotations
 from .dichotomy import PrefixTable, build_prefix_table, conditional_prob, marginal_prob
 from .errors import ValidationError
 from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
-                 ry_from_probs)
+                 qubit_bits, ry_from_probs)
 from .targets import TargetSet, bitstring
 
 
@@ -45,13 +45,15 @@ def build_stage(table: PrefixTable, m: int) -> Circuit:
             return Circuit(n, ())
         return Circuit(n, (Single(ry_from_probs(p0, p1), m - 1),))
 
+    # Every rotation is controlled on all of qubits 0..depth-1, set to its
+    # prefix alpha.
+    mask = (1 << depth) - 1
     gates: list[Gate] = []
     for alpha, p0, p1 in splits:
         if p1 == 0:
             continue
-        controls = tuple((q, (alpha >> (depth - 1 - q)) & 1)
-                         for q in range(depth))
-        gates.append(Controlled(controls, ry_from_probs(p0, p1), m - 1))
+        gates.append(Controlled(mask, qubit_bits(alpha, depth),
+                                ry_from_probs(p0, p1), m - 1))
     return Circuit(n, tuple(gates))
 
 
@@ -72,7 +74,7 @@ def build_P(n: int) -> Circuit:
 def build_D(n: int) -> Circuit:
     """Hadamard-conjugated zero flip; equals the negated inversion about
     the mean, see the sign handling in `engine`."""
-    hs = tuple(Single(H, q) for q in range(n))
+    hs = tuple(Single(H, target) for target in range(n))
     return Circuit(n, hs + build_P(n).gates + hs)
 
 

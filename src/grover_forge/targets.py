@@ -6,22 +6,14 @@ the most significant bit, so the string "100" is the label 4.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 
 
 def bitstring(x: int, n: int) -> str:
     """MSB-first binary representation of a label."""
     return format(x, f"0{n}b")
-
-
-def _as_int(value, what: str) -> int:
-    """An integer value as int; bools and floats are rejected, not cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def prefix_of(x: int, m: int, n: int) -> int:
@@ -55,7 +47,7 @@ class TargetSet:
     @classmethod
     def from_labels(cls, n: int, labels) -> "TargetSet":
         """Build from integers or MSB-first bitstrings, in any order."""
-        n = _as_int(n, "qubit count")
+        n = as_int(n, "qubit count")
         ints = []
         for x in labels:
             if isinstance(x, str):
@@ -63,7 +55,7 @@ class TargetSet:
                     raise ValidationError(f"bad bitstring {x!r} for n={n}")
                 ints.append(int(x, 2))
             else:
-                ints.append(_as_int(x, "target label"))
+                ints.append(as_int(x, "target label"))
         if len(set(ints)) != len(ints):
             raise ValidationError("duplicate target labels")
         return cls(n, tuple(sorted(ints)))

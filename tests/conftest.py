@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from grover_forge import TargetSet
+from grover_forge import (TargetSet, build_prefix_table, build_stage,
+                          conditional_prob)
 from grover_forge.ir import Controlled, PatternPhase, Single
 
 
@@ -27,6 +30,34 @@ def target_sets(draw, min_n, max_n, max_size=None):
     labels = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1,
                           max_size=top))
     return TargetSet(n, tuple(sorted(labels)))
+
+
+def wide_target_set(seed, n, size):
+    """A seeded set of `size` labels drawn from all n bits, for any n."""
+    rng = random.Random(seed)
+    labels = set()
+    while len(labels) < size:
+        labels.add(rng.getrandbits(n))
+    return TargetSet(n, tuple(sorted(labels)))
+
+
+def stage_pair_controls(targets):
+    """(control pairs, target) of each Controlled gate of build_U, by the
+    (qubit, bit) pair formula: a stage-m rotation for prefix alpha controls
+    qubits 0..m-2 on the MSB-first bits of alpha."""
+    table = build_prefix_table(targets)
+    out = []
+    for m in range(2, targets.n + 1):
+        depth = m - 1
+        if not any(isinstance(g, Controlled)
+                   for g in build_stage(table, m).gates):
+            continue  # the stage is empty or collapsed to one Single
+        for alpha in sorted(table.support(depth)):
+            if conditional_prob(table, depth, 1, alpha) != 0:
+                controls = tuple((q, (alpha >> (depth - 1 - q)) & 1)
+                                 for q in range(depth))
+                out.append((controls, m - 1))
+    return out
 
 
 def random_unitary_2x2(rng):

@@ -34,6 +34,19 @@ def test_synth_pi_sigma_writes_plan(target_file, tmp_path):
     assert len(load_circuit(out).gates) == 3
 
 
+def test_synth_pi_sigma_defaults_to_auto(tmp_path):
+    # The paper chain 011 -> 010 -> 000 passes through the target 010.
+    targets = tmp_path / "colliding.txt"
+    targets.write_text("n=3\n001\n010\n011\n")
+    out = str(tmp_path / "pi.json")
+    assert main(["synth", "--targets", str(targets), "--variant", "pi-sigma",
+                 "--out", out]) == 0
+    plan = json.loads((tmp_path / "pi.json.plan.json").read_text())
+    assert plan["mode"] == "exact"
+    assert main(["synth", "--targets", str(targets), "--variant", "pi-sigma",
+                 "--mode", "paper", "--out", out]) == 4
+
+
 def test_synth_qasm_export(target_file, tmp_path):
     out = str(tmp_path / "u.json")
     qasm = tmp_path / "u.qasm"

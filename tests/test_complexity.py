@@ -18,8 +18,8 @@ def test_cost_model_default():
 
 def test_count_by_gate_kind():
     circuit = Circuit(3, (Single(H, 0),
-                          Controlled(((0, 1),), X, 1),
-                          Controlled(((0, 1), (1, 0)), X, 2),
+                          Controlled.from_pairs(((0, 1),), X, 1),
+                          Controlled.from_pairs(((0, 1), (1, 0)), X, 2),
                           PatternPhase("010", -1)))
     # 1 + 1 + 4 + (4 + 2*2) for the flip with two zero positions.
     assert count(circuit) == 14

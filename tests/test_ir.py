@@ -44,9 +44,93 @@ def test_gate_validation():
     with pytest.raises(ValidationError, match="unitary"):
         Single(np.array([[1, 1], [0, 1]]), 0)
     with pytest.raises(ValidationError, match="distinct"):
-        Controlled(((0, 1),), X, 0)
+        Controlled.from_pairs(((0, 1),), X, 0)
     with pytest.raises(ValidationError, match="modulus"):
         PatternPhase("01", 2.0)
+
+
+def test_from_pairs_round_trip():
+    gate = Controlled.from_pairs(((5, 1), (0, 1), (3, 0)), X, 2)
+    assert gate.mask == 0b101001 and gate.value == 0b100001
+    assert gate.controls == ((0, 1), (3, 0), (5, 1))
+    ordered = Controlled.from_pairs(sorted(gate.controls), X, 2)
+    assert (ordered.mask, ordered.value, ordered.target) == (
+        gate.mask, gate.value, gate.target)
+    again = Controlled.from_pairs(gate.controls, X, 2)
+    assert again.controls == gate.controls
+    assert gate.dagger().controls == gate.controls
+
+
+@pytest.mark.parametrize("args,match", [
+    ((0, 0, X, 1), "at least one control"),
+    ((0b01, 0b10, X, 2), "outside the mask"),
+    ((0b11, 0b01, X, 1), "distinct"),
+    ((0b01, 0b01, X, -1), "out of range"),
+    ((True, 1, X, 2), "integer"),
+    ((1, False, X, 2), "integer"),
+    ((1, 1, X, True), "integer"),
+    ((1.0, 1, X, 2), "integer"),
+    ((1, 1, X, 2.0), "integer"),
+])
+def test_controlled_checks(args, match):
+    with pytest.raises(ValidationError, match=match):
+        Controlled(*args)
+
+
+@pytest.mark.parametrize("pairs,match", [
+    ((), "at least one control"),
+    (((0, 1), (0, 0)), "distinct"),
+    (((-1, 1),), "out of range"),
+    (((0, 2),), "polarity"),
+    (((0, 1.5),), "integer"),
+    (((0.0, 1),), "integer"),
+    (((0, True),), "integer"),
+])
+def test_from_pairs_checks(pairs, match):
+    with pytest.raises(ValidationError, match=match):
+        Controlled.from_pairs(pairs, X, 3)
+
+
+def test_circuit_rejects_mask_reaching_n():
+    gate = Controlled(0b1001, 0b0001, X, 1)
+    assert Circuit(4, (gate,)).gates == (gate,)
+    with pytest.raises(ValidationError, match="qubit index 3 out of range"):
+        Circuit(3, (gate,))
+    with pytest.raises(ValidationError, match="out of range"):
+        Circuit(2, (Controlled(0b01, 0, X, 2),))
+
+
+def test_basis_range_checked():
+    assert StateVector.basis(3, 7).amplitudes[7] == 1
+    for x in (-1, 8):
+        with pytest.raises(ValidationError, match="out of range"):
+            StateVector.basis(3, x)
+
+
+_U = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("body", [
+    {"n": 2.7, "gates": []},
+    {"n": True, "gates": []},
+    {"n": "2", "gates": []},
+    {"n": 2, "gates": [{"kind": "single", "target": 1.5, "u": _U}]},
+    {"n": 2, "gates": [{"kind": "single", "target": True, "u": _U}]},
+    {"n": 2, "gates": [{"kind": "controlled", "controls": [[0, 1.5]],
+                        "target": 1, "u": _U}]},
+    {"n": 2, "gates": [{"kind": "controlled", "controls": [[0.0, 1]],
+                        "target": 1, "u": _U}]},
+    {"n": 2, "gates": [{"kind": "controlled", "controls": [[0, True]],
+                        "target": 1, "u": _U}]},
+    {"n": 2, "gates": [{"kind": "controlled", "controls": [[0, 1]],
+                        "target": 1.0, "u": _U}]},
+    # Out of range before any mask bit is built.
+    {"n": 2, "gates": [{"kind": "controlled", "controls": [[10 ** 15, 1]],
+                        "target": 1, "u": _U}]},
+])
+def test_circuit_from_json_rejects_non_integers(body):
+    with pytest.raises(ValidationError):
+        circuit_from_json(body)
 
 
 def test_unitarity_tolerance_is_absolute():
@@ -89,10 +173,11 @@ def test_apply_matches_dense_oracle(seed):
     others = [q for q in range(n) if q != t]
     gates = [
         Single(random_unitary_2x2(rng), t),
-        Controlled(tuple((int(q), int(rng.integers(0, 2)))
-                         for q in rng.choice(others, size=min(2, len(others)),
-                                             replace=False)),
-                   random_unitary_2x2(rng), t),
+        Controlled.from_pairs(
+            tuple((int(q), int(rng.integers(0, 2)))
+                  for q in rng.choice(others, size=min(2, len(others)),
+                                      replace=False)),
+            random_unitary_2x2(rng), t),
         PatternPhase("".join(str(int(b)) for b in rng.integers(0, 2, n)),
                      np.exp(1j * rng.uniform(0, 2 * np.pi))),
     ]
@@ -102,9 +187,9 @@ def test_apply_matches_dense_oracle(seed):
     # with mixed polarities.
     for m in range(1, n):
         controls = rng.choice(others, size=m, replace=False)
-        gates.append(Controlled(tuple((int(q), int(rng.integers(0, 2)))
-                                      for q in controls),
-                                random_unitary_2x2(rng), t))
+        gates.append(Controlled.from_pairs(
+            tuple((int(q), int(rng.integers(0, 2))) for q in controls),
+            random_unitary_2x2(rng), t))
     for gate in gates:
         got = apply(StateVector(n, amps), gate).amplitudes
         want = dense_gate_matrix(gate, n) @ amps
@@ -114,7 +199,7 @@ def test_apply_matches_dense_oracle(seed):
 def test_apply_norm_preserving_and_linear():
     rng = np.random.default_rng(7)
     n = 4
-    gate = Controlled(((0, 1), (2, 0)), random_unitary_2x2(rng), 3)
+    gate = Controlled.from_pairs(((0, 1), (2, 0)), random_unitary_2x2(rng), 3)
     s1 = rng.normal(size=16) + 1j * rng.normal(size=16)
     s2 = rng.normal(size=16) + 1j * rng.normal(size=16)
     s1 /= np.linalg.norm(s1)
@@ -140,7 +225,7 @@ def test_unitary_of_matches_matrix_product():
     rng = np.random.default_rng(11)
     n = 3
     gates = (Single(random_unitary_2x2(rng), 1),
-             Controlled(((0, 1),), random_unitary_2x2(rng), 2),
+             Controlled.from_pairs(((0, 1),), random_unitary_2x2(rng), 2),
              PatternPhase("101", -1))
     circuit = Circuit(n, gates)
     product = np.eye(8, dtype=complex)
@@ -156,7 +241,8 @@ def test_unitary_of_matches_matrix_product():
         m = int(rng.integers(1, n))
         controls = tuple((int(q), int(rng.integers(0, 2)))
                          for q in rng.choice(others, size=m, replace=False))
-        gates.append(Controlled(controls, random_unitary_2x2(rng), t))
+        gates.append(Controlled.from_pairs(controls, random_unitary_2x2(rng),
+                                           t))
     gates.append(PatternPhase("10110", np.exp(0.7j)))
     product = np.eye(1 << n, dtype=complex)
     for gate in gates:
@@ -173,7 +259,8 @@ def test_unitary_of_refuses_large_n():
 def test_dagger_inverts():
     rng = np.random.default_rng(13)
     circuit = Circuit(3, (Single(random_unitary_2x2(rng), 0),
-                          Controlled(((1, 0),), random_unitary_2x2(rng), 2),
+                          Controlled.from_pairs(((1, 0),),
+                                                random_unitary_2x2(rng), 2),
                           PatternPhase("110", 1j)))
     mat = unitary_of(circuit) @ unitary_of(circuit.dagger())
     assert np.allclose(mat, np.eye(8), atol=1e-12)
@@ -182,8 +269,8 @@ def test_dagger_inverts():
 def test_json_round_trip_bit_exact():
     rng = np.random.default_rng(17)
     circuit = Circuit(3, (Single(random_unitary_2x2(rng), 0),
-                          Controlled(((0, 1), (2, 0)),
-                                     random_unitary_2x2(rng), 1),
+                          Controlled.from_pairs(((0, 1), (2, 0)),
+                                                random_unitary_2x2(rng), 1),
                           PatternPhase("011", -1)))
     blob = json.dumps(circuit_to_json(circuit))
     loaded = circuit_from_json(json.loads(blob))
@@ -222,7 +309,7 @@ def circuits(draw):
         qubits = draw(st.lists(st.sampled_from(others), min_size=1,
                                unique=True))
         controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
-        gates.append(Controlled(controls, u, target))
+        gates.append(Controlled.from_pairs(controls, u, target))
     return Circuit(n, tuple(gates))
 
 

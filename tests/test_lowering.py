@@ -46,7 +46,7 @@ def test_uncontrolled_gate_passes_through():
 
 def test_singly_controlled_ry_two_cnots():
     theta = 1.234
-    circuit = Circuit(2, (Controlled(((0, 1),), _ry(theta), 1),))
+    circuit = Circuit(2, (Controlled.from_pairs(((0, 1),), _ry(theta), 1),))
     lowered = lower(circuit)
     assert only_basis_gates(lowered)
     cnots = [g for g in lowered.gates if is_cnot(g)]
@@ -72,8 +72,8 @@ def test_merged_stage_of_equal_rotations():
     # Two controlled gates with the same block on opposite control values
     # act as an uncontrolled gate on the target wire.
     v = _ry(np.pi / 2)
-    circuit = Circuit(3, (Controlled(((1, 0),), v, 2),
-                          Controlled(((1, 1),), v, 2)))
+    circuit = Circuit(3, (Controlled.from_pairs(((1, 0),), v, 2),
+                          Controlled.from_pairs(((1, 1),), v, 2)))
     lowered = lower(circuit)
     assert only_basis_gates(lowered)
     assert_equivalent(circuit, lowered)
@@ -99,8 +99,8 @@ def test_small_phase_rotations_kept():
 
 def test_near_x_block_is_not_a_cnot():
     # 1e-5 away from X: a bare CNOT would be off by 1e-5.
-    circuit = Circuit(2, (Controlled(((0, 1),),
-                                     X @ np.diag([1, np.exp(1j * 1e-5)]), 1),))
+    circuit = Circuit(2, (Controlled.from_pairs(
+        ((0, 1),), X @ np.diag([1, np.exp(1j * 1e-5)]), 1),))
     lowered = lower(circuit)
     assert only_basis_gates(lowered)
     assert_equivalent(circuit, lowered)
@@ -108,8 +108,8 @@ def test_near_x_block_is_not_a_cnot():
 
 def test_mixed_polarity_multi_control():
     rng = np.random.default_rng(3)
-    circuit = Circuit(4, (Controlled(((0, 0), (1, 1), (3, 0)),
-                                     random_unitary_2x2(rng), 2),))
+    circuit = Circuit(4, (Controlled.from_pairs(((0, 0), (1, 1), (3, 0)),
+                                                random_unitary_2x2(rng), 2),))
     lowered = lower(circuit)
     assert only_basis_gates(lowered)
     assert_equivalent(circuit, lowered)
@@ -133,7 +133,7 @@ def test_random_circuits_equivalent(seed):
                 for q in rng.choice(others, size=m, replace=False))
             u = _ry(rng.uniform(0, 2 * np.pi)) if rng.random() < 0.5 \
                 else random_unitary_2x2(rng)
-            gates.append(Controlled(controls, u, t))
+            gates.append(Controlled.from_pairs(controls, u, t))
         else:
             pattern = "".join(str(int(b)) for b in rng.integers(0, 2, n))
             gates.append(PatternPhase(pattern,

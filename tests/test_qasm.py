@@ -17,7 +17,7 @@ def body(circuit):
 
 def test_named_gates():
     circuit = Circuit(2, (Single(X, 0), Single(H, 1),
-                          Controlled(((0, 1),), X, 1)))
+                          Controlled.from_pairs(((0, 1),), X, 1)))
     assert body(circuit) == ["x q[0];", "h q[1];", "cx q[0],q[1];"]
 
 
@@ -33,9 +33,9 @@ def test_near_hadamard_is_not_h():
 
 
 @pytest.mark.parametrize("gate", [
-    Controlled(((0, 1), (1, 1)), X, 2),
-    Controlled(((0, 0),), X, 2),
-    Controlled(((0, 1),), H, 2),
+    Controlled.from_pairs(((0, 1), (1, 1)), X, 2),
+    Controlled.from_pairs(((0, 0),), X, 2),
+    Controlled.from_pairs(((0, 1),), H, 2),
     PatternPhase("000", -1),
 ])
 def test_unlowered_gates_rejected(gate):

@@ -2,13 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import random_target_set, target_sets
+from conftest import (random_target_set, stage_pair_controls, target_sets,
+                      wide_target_set)
 from hypothesis import given, settings
 
 from grover_forge import (Controlled, PermutationValidationError, TargetSet,
                           ValidationError, apply_circuit, build_pi_sigma,
                           build_U_tilde, canonical_targets, circuit_to_json,
-                          gray_path, reduced, unitary_of)
+                          count, gray_path, reduced, unitary_of)
 from grover_forge.ir import StateVector
 from grover_forge.targets import bitstring
 
@@ -223,3 +224,59 @@ def test_paper_check_runs_before_any_gate(monkeypatch):
     assert tuple(info.value.colliding) == (2,)
     with pytest.raises(AssertionError, match="gate built"):
         build_pi_sigma(targets, "exact")
+
+
+def _pi_pair_controls(plan):
+    """(control pairs, target) of each pi_sigma gate, by the (qubit, bit)
+    pair formula: the step s -> t controls every other qubit on the
+    MSB-first bits of s."""
+    n = plan.n
+    out = []
+    for path in plan.paths:
+        steps = []
+        for s, t in zip(path, path[1:]):
+            target = n - 1 - ((s ^ t).bit_length() - 1)
+            controls = tuple((q, (s >> (n - 1 - q)) & 1)
+                             for q in range(n) if q != target)
+            steps.append((controls, target))
+        if plan.mode == "paper":
+            out += reversed(steps)
+        else:
+            out += steps + list(reversed(steps[:-1]))
+    return out
+
+
+def _check_masks_match_pair_formula(targets):
+    n, size = targets.n, targets.size
+    l = canonical_targets(targets)[1]
+    compact = (stage_pair_controls(TargetSet(l, tuple(range(size))))
+               if l else [])
+    shifted = [(tuple((q + n - l, b) for q, b in controls), t + n - l)
+               for controls, t in compact]
+    assert [(g.controls, g.target) for g in build_U_tilde(size, n).gates
+            if isinstance(g, Controlled)] == shifted
+    for mode in ("paper", "exact"):
+        circuit, plan = build_pi_sigma(targets, mode, validate=False)
+        assert plan.mode == mode
+        assert all(isinstance(g, Controlled) for g in circuit.gates)
+        assert ([(g.controls, g.target) for g in circuit.gates]
+                == _pi_pair_controls(plan))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(target_sets(4, 8))
+def test_masks_match_pair_formula_drawn(targets):
+    _check_masks_match_pair_formula(targets)
+
+
+@pytest.mark.parametrize("n,size", [(64, 32), (256, 4)])
+def test_masks_match_pair_formula_wide(n, size):
+    _check_masks_match_pair_formula(wide_target_set(n + 1, n, size))
+
+
+def test_paper_pi_sigma_count_at_512_qubits():
+    targets = wide_target_set(512, 512, 3)
+    circuit, plan = build_pi_sigma(targets, "paper", validate=False)
+    steps = sum(len(p) - 1 for p in plan.paths)
+    assert len(circuit) == steps > 0
+    assert count(circuit) == steps * (511 ** 2)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import random_target_set, state_of_targets
+from conftest import (random_target_set, stage_pair_controls,
+                      state_of_targets, target_sets, wide_target_set)
+from hypothesis import given, settings
 
 from grover_forge import (Circuit, Controlled, Single, TargetSet,
                           ValidationError, apply_circuit, build_oracle,
@@ -93,3 +95,21 @@ def test_oracle_flips_only_target_component(example_targets):
     perp[0], perp[1] = 2 ** -0.5, -(2 ** -0.5)
     kept = apply_circuit(StateVector(3, perp.copy()), oracle)
     assert np.allclose(kept.amplitudes, perp, atol=1e-12)
+
+
+def _controlled(circuit):
+    return [(g.controls, g.target) for g in circuit.gates
+            if isinstance(g, Controlled)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(target_sets(4, 8))
+def test_stage_masks_match_pair_formula_drawn(targets):
+    assert _controlled(build_U(targets)) == stage_pair_controls(targets)
+
+
+@pytest.mark.parametrize("n,size", [(64, 32), (256, 4)])
+def test_stage_masks_match_pair_formula_wide(n, size):
+    targets = wide_target_set(n, n, size)
+    got = _controlled(build_U(targets))
+    assert got and got == stage_pair_controls(targets)
