@@ -4,6 +4,12 @@ The inversion about the mean is realized as Hadamards around the all-zero
 phase flip, which produces the negated operator; every application
 multiplies a compensating -1 into the state so all variants return states
 in the same sign convention and can be compared entrywise.
+
+A run pays once for two rewrites of its circuits.  Each run of consecutive
+`Single` gates becomes one dense block per window of FUSE adjacent qubits,
+built by `unitary_of`, so the kernel still defines what every gate means.
+The reduced variant's pi_sigma wrap, a basis permutation, becomes one index
+array: the run iterates in the permuted frame and gathers each state back.
 """
 from __future__ import annotations
 
@@ -13,14 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulatorLimitError, ValidationError
-from .ir import Circuit, StateVector, _apply_inplace, apply_circuit
+from .errors import (PermutationValidationError, SimulatorLimitError,
+                     ValidationError)
+from .ir import Circuit, Single, StateVector, _apply_inplace, unitary_of
 from .reduced import build_pi_sigma, build_U_tilde
 from .synth import build_D, build_O_conv, build_oracle, reflection
 from .targets import TargetSet
 
 VARIANTS = ("conventional", "modified", "reduced")
 DEFAULT_MAX_QUBITS = 22
+# Qubits per fused single-qubit block: 16x16 blocks were fastest at n=11-12.
+FUSE = 4
 
 
 def _max_qubits() -> int:
@@ -71,9 +80,60 @@ def success_probability(state: StateVector, targets: TargetSet) -> float:
     return float(sum(abs(amps[x]) ** 2 for x in targets.labels))
 
 
+def _fuse(gates, amps: np.ndarray, n: int) -> list:
+    """The gate list as steps over `amps`: each maximal run of consecutive
+    Single gates becomes one (view, block) pair per window of FUSE adjacent
+    qubits it touches, and every other gate stays as it is.
+
+    Single gates on different qubits commute, so a run may be regrouped by
+    window as long as each window keeps its gates in order.  A window
+    holding one gate keeps that gate.  A block acts on the middle axis of a
+    (2**lo, 2**w, rest) view of `amps`, which indexes qubits lo..lo+w-1.
+    """
+    steps: list = []
+    windows: dict[int, list[Single]] = {}
+    for gate in (*gates, None):
+        if isinstance(gate, Single):
+            windows.setdefault(gate.target // FUSE, []).append(gate)
+            continue
+        for start, run in windows.items():
+            if len(run) == 1:
+                steps.append(run[0])
+                continue
+            lo = start * FUSE
+            w = min(FUSE, n - lo)
+            block = unitary_of(Circuit(w, tuple(Single(g.u, g.target - lo)
+                                               for g in run)))
+            steps.append((amps.reshape(1 << lo, 1 << w, -1), block))
+        windows = {}
+        if gate is not None:
+            steps.append(gate)
+    return steps
+
+
+def _gather_index(wrap: Circuit) -> np.ndarray:
+    """Index array of a basis-permutation circuit: applying `wrap` to any
+    state a gives a[index].
+
+    The wrap runs once through the kernel on the labels 0..2**n-1 stored as
+    amplitudes.  X blocks only move amplitudes, so every label stays exact
+    (floats hold integers exactly far beyond the simulator limit).
+    """
+    n = wrap.n
+    labels = np.arange(1 << n, dtype=complex)
+    for gate in wrap.gates:
+        _apply_inplace(labels, n, gate)
+    if (labels.imag.any()
+            or not np.array_equal(np.sort(labels.real), np.arange(1 << n))):
+        raise PermutationValidationError(
+            "pi_sigma circuit is not a basis permutation")
+    return labels.real.astype(np.intp)
+
+
 class _Run:
-    """One search run: oracle + inversion steps over a mutable amplitude
-    array, with the optional permutation sandwich of the reduced variant."""
+    """One search run: fused oracle + inversion steps over a mutable
+    amplitude array.  The reduced variant iterates in the frame of its
+    canonical targets and gathers each state back through pi_sigma."""
 
     def __init__(self, targets: TargetSet, variant: str, mode: str = "auto"):
         limit = _max_qubits()
@@ -85,37 +145,45 @@ class _Run:
             raise ValidationError(f"unknown variant {variant!r}")
         n = targets.n
         self.n = n
-        self.inversion = build_D(n)
-        self.wrap: Circuit | None = None
+        self.index: np.ndarray | None = None
         if variant == "conventional":
-            self.oracle = build_O_conv(targets)
+            oracle = build_O_conv(targets)
         elif variant == "modified":
-            self.oracle = build_oracle(targets)
+            oracle = build_oracle(targets)
         else:
-            self.oracle = reflection(build_U_tilde(targets.size, n))
-            self.wrap, _ = build_pi_sigma(targets, mode)
+            oracle = reflection(build_U_tilde(targets.size, n))
+            self.index = _gather_index(build_pi_sigma(targets, mode)[0])
         self.amps = uniform_state(n).amplitudes.copy()
-        if self.wrap is not None:
-            for gate in self.wrap.dagger().gates:
-                _apply_inplace(self.amps, n, gate)
+        if self.index is not None:
+            # pi_sigma^dagger: the inverse gather.
+            inverse = np.empty_like(self.index)
+            inverse[self.index] = np.arange(1 << n)
+            self.amps = self.amps[inverse]
+        self.steps = _fuse(oracle.gates + build_D(n).gates, self.amps, n)
 
     def step(self) -> None:
-        for gate in self.oracle.gates:
-            _apply_inplace(self.amps, self.n, gate)
-        for gate in self.inversion.gates:
-            _apply_inplace(self.amps, self.n, gate)
+        for op in self.steps:
+            if isinstance(op, tuple):
+                view, block = op
+                view[...] = np.matmul(block, view)
+            else:
+                _apply_inplace(self.amps, self.n, op)
         self.amps *= -1.0
 
     def state(self) -> StateVector:
-        out = StateVector(self.n, self.amps.copy())
-        if self.wrap is not None:
-            out = apply_circuit(out, self.wrap)
-        return out
+        if self.index is None:
+            return StateVector(self.n, self.amps.copy())
+        return StateVector(self.n, self.amps[self.index])
 
 
 def grover_states(targets: TargetSet, variant: str, k_max: int,
                   mode: str = "auto"):
-    """Yield (k, state) for k = 0..k_max, sharing work across iterations."""
+    """Yield (k, state) for k = 0..k_max, one run shared by all k.
+
+    Each state is a fresh array after k search iterations, in the frame of
+    the requested targets for every variant, so the three variants agree
+    entrywise.
+    """
     if k_max < 0:
         raise ValidationError("iteration count must be nonnegative")
     run = _Run(targets, variant, mode)

@@ -214,9 +214,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amplitudes.copy())
-
 
 def _apply_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
     """Apply one gate to a C-contiguous amplitude array in place.

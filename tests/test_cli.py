@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grover_forge import load_circuit, unitary_of
+from grover_forge import engine, load_circuit, unitary_of
 from grover_forge.cli import main
+from grover_forge.ir import StateVector
 
 
 @pytest.fixture
@@ -84,6 +90,62 @@ def test_simulate_amplitudes(target_file, capsys):
     report = json.loads(capsys.readouterr().out)
     amps = np.array([complex(re, im) for re, im in report["amplitudes"]])
     assert np.allclose(amps, np.full(8, 8 ** -0.5))
+
+
+def simulate_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["simulate", *argv]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("variant", engine.VARIANTS)
+@pytest.mark.parametrize("body", ["n=1\n1\n", "n=3\n000\n001\n010\n100\n"])
+def test_simulate_json_bytes(tmp_path, variant, body):
+    path = tmp_path / "targets.txt"
+    path.write_text(body)
+    argv = ["--targets", str(path), "--variant", variant, "--k", "2",
+            "--json"]
+    plain = simulate_stdout(argv)
+    report = json.loads(plain)
+    assert "amplitudes" not in report
+    assert plain == json.dumps(report, indent=1) + "\n"
+    out = simulate_stdout(argv + ["--amplitudes"])
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=1) + "\n"
+    assert len(report["amplitudes"]) == 1 << report["n"]
+    del report["amplitudes"]
+    assert json.dumps(report, indent=1) + "\n" == plain
+
+
+FLOATS = st.one_of(
+    st.floats(-1e100, 1e100),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-300, -1e-300, 1e20, -1e20, 0.1, 1 / 3]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(FLOATS, min_size=2 << n, max_size=2 << n)))
+def test_amplitude_writer_matches_json(tmp_path_factory, values):
+    n = (len(values) // 2).bit_length() - 1
+    path = tmp_path_factory.mktemp("drawn") / "targets.txt"
+    path.write_text(f"n={n}\n{'0' * n}\n")
+    # A view keeps every bit of each part; re + 1j * im would turn
+    # (-0.0, x) into (0.0, x).
+    drawn = StateVector(n, np.array(values).view(complex))
+
+    def states(targets, variant, k_max, mode):
+        yield 0, drawn
+
+    with mock.patch.object(engine, "grover_states", states):
+        out = simulate_stdout(["--targets", str(path), "--variant",
+                               "modified", "--k", "0", "--json",
+                               "--amplitudes"])
+    report = json.loads(out)
+    report["amplitudes"] = [[re, im] for re, im in zip(values[::2],
+                                                       values[1::2])]
+    assert out == json.dumps(report, indent=1) + "\n"
 
 
 def test_simulate_qubit_limit(tmp_path, monkeypatch, capsys):

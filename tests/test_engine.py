@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
-from conftest import random_target_set, state_of_targets
+from conftest import random_target_set, state_of_targets, target_sets
+from hypothesis import example, given, settings
 
-from grover_forge import (SimulatorLimitError, TargetSet, ValidationError,
-                          analytic_schedule,
-                          apply_circuit, build_D, build_O_conv, build_P,
-                          grover_run, grover_states, success_probability,
+from grover_forge import (PermutationValidationError, SimulatorLimitError,
+                          TargetSet, ValidationError, analytic_schedule,
+                          apply_circuit, build_D, build_O_conv, build_oracle,
+                          build_P, build_pi_sigma, build_U_tilde, grover_run,
+                          grover_states, success_probability,
                           uniform_state, unitary_of)
 from grover_forge import engine
-from grover_forge.ir import StateVector
+from grover_forge.ir import H, Circuit, PatternPhase, Single, StateVector
+from grover_forge.synth import reflection
 
 
 def test_uniform_state():
@@ -141,3 +144,105 @@ def test_optimal_iteration_amplifies():
     p = success_probability(state, targets)
     assert p > 0.99
     assert p == pytest.approx(sched.success(sched.k_star), abs=1e-10)
+
+
+def unfused_states(targets, variant, k_max, mode="auto"):
+    """Reference run: every gate through apply_circuit, the -1 factor after
+    each D, and the whole pi_sigma wrap around the reduced variant."""
+    n = targets.n
+    wrap = None
+    if variant == "conventional":
+        oracle = build_O_conv(targets)
+    elif variant == "modified":
+        oracle = build_oracle(targets)
+    else:
+        oracle = reflection(build_U_tilde(targets.size, n))
+        wrap, _ = build_pi_sigma(targets, mode)
+    state = uniform_state(n)
+    if wrap is not None:
+        state = apply_circuit(state, wrap.dagger())
+    for k in range(k_max + 1):
+        yield k, state if wrap is None else apply_circuit(state, wrap)
+        state = apply_circuit(apply_circuit(state, oracle), build_D(n))
+        state = StateVector(n, -state.amplitudes)
+
+
+def assert_fused_matches_unfused(targets):
+    k_max = max(1, analytic_schedule(targets.n, targets.size).k_star)
+    for variant in engine.VARIANTS:
+        pairs = zip(grover_states(targets, variant, k_max),
+                    unfused_states(targets, variant, k_max), strict=True)
+        for (k, got), (k_ref, want) in pairs:
+            assert k == k_ref
+            assert np.abs(got.amplitudes - want.amplitudes).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(target_sets(2, 8, max_size=12))
+@example(TargetSet(8, (0, 77, 200, 255)))
+def test_fused_run_matches_unfused_drawn(targets):
+    assert_fused_matches_unfused(targets)
+
+
+def test_fused_run_matches_unfused_n9():
+    assert_fused_matches_unfused(TargetSet(9, (3, 100, 257, 511)))
+
+
+def test_fuse_windows():
+    # n=9: two full windows of FUSE=4 qubits and a one-qubit remainder,
+    # whose single gate is left as it is.
+    assert engine.FUSE == 4
+    n = 9
+    amps = uniform_state(n).amplitudes.copy()
+    d = build_D(n)
+    steps = engine._fuse(d.gates, amps, n)
+    kinds = [type(op).__name__ for op in steps]
+    assert kinds == ["tuple", "tuple", "Single", "PatternPhase",
+                     "tuple", "tuple", "Single"]
+    view, block = steps[1]
+    assert view.shape == (16, 16, 2) and np.shares_memory(view, amps)
+    want = unitary_of(Circuit(4, tuple(Single(H, q) for q in range(4))))
+    assert np.array_equal(block, want)
+    # A lone Single keeps its place between the gates around it.
+    x = Circuit(3, (PatternPhase("000", -1), Single(H, 1),
+                    PatternPhase("111", -1)))
+    assert engine._fuse(x.gates, amps[:8], 3) == list(x.gates)
+
+
+def assert_gather_is_wrap(targets, mode):
+    wrap, plan = build_pi_sigma(targets, mode, validate=False)
+    assert plan.mode == mode
+    index = engine._gather_index(wrap)
+    rng = np.random.default_rng(targets.size)
+    dim = 1 << targets.n
+    state = StateVector(targets.n, rng.normal(size=dim)
+                        + 1j * rng.normal(size=dim))
+    assert np.array_equal(state.amplitudes[index],
+                          apply_circuit(state, wrap).amplitudes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(target_sets(1, 7))
+def test_gather_equals_wrap_drawn(targets):
+    for mode in ("paper", "exact"):
+        assert_gather_is_wrap(targets, mode)
+
+
+@pytest.mark.parametrize("mode", ["paper", "exact"])
+def test_reduced_state_is_wrap_of_permuted_frame(example_targets, mode):
+    wrap, _ = build_pi_sigma(example_targets, mode)
+    run = engine._Run(example_targets, "reduced", mode)
+    for _ in range(3):
+        run.step()
+        framed = StateVector(run.n, run.amps.copy())
+        assert np.array_equal(run.state().amplitudes,
+                              apply_circuit(framed, wrap).amplitudes)
+
+
+def test_wrap_that_is_not_a_permutation_raises(monkeypatch, example_targets):
+    def with_hadamard(targets, mode):
+        return Circuit(targets.n, (Single(H, 0),)), None
+
+    monkeypatch.setattr(engine, "build_pi_sigma", with_hadamard)
+    with pytest.raises(PermutationValidationError, match="not a basis"):
+        grover_run(example_targets, "reduced", 1)
