@@ -132,8 +132,6 @@ def _cmd_simulate(args) -> int:
             k = int(args.k)
         except ValueError as exc:
             raise ValidationError(f"bad iteration count {args.k!r}") from exc
-        if k < 0:
-            raise ValidationError("iteration count must be nonnegative")
 
     rows = []
     final = None

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
-from .engine import analytic_schedule
+from .engine import analytic_schedule, check_iterations
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
 from .synth import build_D, build_O_conv, build_P, build_U, reflection
 from .targets import TargetSet
@@ -169,6 +169,8 @@ def build_report(targets: TargetSet, k: int | None = None,
     l = target_bits(s)
     if k is None:
         k = analytic_schedule(n, s).k_star
+    else:
+        check_iterations(k)
     prep = build_U(targets)
     prep_tilde = build_U_tilde(s, n)
     pi_circ, _ = build_pi_sigma(targets, pi_mode, validate=False)

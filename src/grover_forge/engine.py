@@ -8,8 +8,8 @@ in the same sign convention and can be compared entrywise.
 A run pays once for two rewrites of its circuits.  Each run of consecutive
 `Single` gates becomes one dense block per window of FUSE adjacent qubits,
 built by `unitary_of`, so the kernel still defines what every gate means.
-The reduced variant's pi_sigma wrap, a basis permutation, becomes one index
-array: the run iterates in the permuted frame and gathers each state back.
+The reduced variant's pi_sigma becomes one index array, read off its plan's
+label swaps: the run iterates in the permuted frame and gathers each state.
 """
 from __future__ import annotations
 
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (PermutationValidationError, SimulatorLimitError,
-                     ValidationError)
+from .errors import SimulatorLimitError, ValidationError
 from .ir import Circuit, Single, StateVector, _apply_inplace, unitary_of
-from .reduced import build_pi_sigma, build_U_tilde
+from .reduced import PermutationPlan, build_U_tilde, plan_pi_sigma
 from .synth import build_D, build_O_conv, build_oracle, reflection
 from .targets import TargetSet
 
@@ -30,6 +29,9 @@ VARIANTS = ("conventional", "modified", "reduced")
 DEFAULT_MAX_QUBITS = 22
 # Qubits per fused single-qubit block: 16x16 blocks were fastest at n=11-12.
 FUSE = 4
+# Largest iteration count a run or a cost report accepts: above the optimum
+# k* of every set on up to 33 qubits, it bounds the time of a small run.
+MAX_ITERATIONS = 100_000
 
 
 def _max_qubits() -> int:
@@ -41,6 +43,13 @@ def _max_qubits() -> int:
     except ValueError as exc:
         raise ValidationError(
             f"bad GROVER_FORGE_MAX_QUBITS value {raw!r}") from exc
+
+
+def check_iterations(k: int) -> None:
+    """Reject an iteration count outside 0..MAX_ITERATIONS."""
+    if not 0 <= k <= MAX_ITERATIONS:
+        raise ValidationError(
+            f"iteration count {k} out of range 0..{MAX_ITERATIONS}")
 
 
 def uniform_state(n: int) -> StateVector:
@@ -111,36 +120,29 @@ def _fuse(gates, amps: np.ndarray, n: int) -> list:
     return steps
 
 
-def _gather_index(wrap: Circuit) -> np.ndarray:
-    """Index array of a basis-permutation circuit: applying `wrap` to any
-    state a gives a[index].
-
-    The wrap runs once through the kernel on the labels 0..2**n-1 stored as
-    amplitudes.  X blocks only move amplitudes, so every label stays exact
-    (floats hold integers exactly far beyond the simulator limit).
-    """
-    n = wrap.n
-    labels = np.arange(1 << n, dtype=complex)
-    for gate in wrap.gates:
-        _apply_inplace(labels, n, gate)
-    if (labels.imag.any()
-            or not np.array_equal(np.sort(labels.real), np.arange(1 << n))):
-        raise PermutationValidationError(
-            "pi_sigma circuit is not a basis permutation")
-    return labels.real.astype(np.intp)
+def _gather_index(plan: PermutationPlan) -> np.ndarray:
+    """Index array of pi_sigma: applying its circuit to any state a gives
+    a[index].  Each gate swaps the amplitudes of its two labels, so the
+    index is 0..2**n-1 with the same entries swapped in circuit order."""
+    index = np.arange(1 << plan.n)
+    for s, t in plan.swaps():
+        index[s], index[t] = index[t], index[s]
+    return index
 
 
 class _Run:
-    """One search run: fused oracle + inversion steps over a mutable
-    amplitude array.  The reduced variant iterates in the frame of its
-    canonical targets and gathers each state back through pi_sigma."""
+    """A search run of up to k iterations, its limits checked before the
+    state exists: fused oracle + inversion steps over one amplitude array.
+    The reduced variant iterates in its canonical targets' frame."""
 
-    def __init__(self, targets: TargetSet, variant: str, mode: str = "auto"):
+    def __init__(self, targets: TargetSet, variant: str, k: int,
+                 mode: str = "auto"):
         limit = _max_qubits()
         if targets.n > limit:
             raise SimulatorLimitError(
                 f"n={targets.n} exceeds simulator limit {limit} "
                 "(set GROVER_FORGE_MAX_QUBITS to override)")
+        check_iterations(k)
         if variant not in VARIANTS:
             raise ValidationError(f"unknown variant {variant!r}")
         n = targets.n
@@ -152,13 +154,9 @@ class _Run:
             oracle = build_oracle(targets)
         else:
             oracle = reflection(build_U_tilde(targets.size, n))
-            self.index = _gather_index(build_pi_sigma(targets, mode)[0])
+            self.index = _gather_index(plan_pi_sigma(targets, mode))
+        # pi_sigma^dagger, a basis permutation, leaves the uniform start as is.
         self.amps = uniform_state(n).amplitudes.copy()
-        if self.index is not None:
-            # pi_sigma^dagger: the inverse gather.
-            inverse = np.empty_like(self.index)
-            inverse[self.index] = np.arange(1 << n)
-            self.amps = self.amps[inverse]
         self.steps = _fuse(oracle.gates + build_D(n).gates, self.amps, n)
 
     def step(self) -> None:
@@ -184,9 +182,7 @@ def grover_states(targets: TargetSet, variant: str, k_max: int,
     the requested targets for every variant, so the three variants agree
     entrywise.
     """
-    if k_max < 0:
-        raise ValidationError("iteration count must be nonnegative")
-    run = _Run(targets, variant, mode)
+    run = _Run(targets, variant, k_max, mode)
     yield 0, run.state()
     for k in range(1, k_max + 1):
         run.step()
@@ -196,9 +192,7 @@ def grover_states(targets: TargetSet, variant: str, k_max: int,
 def grover_run(targets: TargetSet, variant: str, k: int,
                mode: str = "auto") -> StateVector:
     """State after k search iterations of the chosen variant."""
-    if k < 0:
-        raise ValidationError("iteration count must be nonnegative")
-    run = _Run(targets, variant, mode)
+    run = _Run(targets, variant, k, mode)
     for _ in range(k):
         run.step()
     return run.state()

@@ -175,16 +175,15 @@ def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
         for i, (_, b) in enumerate(gate.controls):
             pattern |= b << (m - 1 - i)
         theta[pattern] += _rotation_angle(gate.u)
-    # Angle transform: theta[a] = sum_k (-1)^{popcount(a & gray(k))} phi[k].
+    # Angle transform theta[a] = sum_k (-1)^{popcount(a & gray(k))} phi[k],
+    # inverted by a fast Walsh-Hadamard butterfly read back in gray order.
+    for bit in range(m):
+        pairs = theta.reshape(-1, 2, 1 << bit)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] = low - pairs[:, 1]
     size = 1 << m
-    phi = np.zeros(size)
-    for k in range(size):
-        g = _gray(k)
-        acc = 0.0
-        for a in range(size):
-            sign = -1.0 if bin(a & g).count("1") % 2 else 1.0
-            acc += sign * theta[a]
-        phi[k] = acc / size
+    phi = theta[_gray(np.arange(size))] / size
     out: list[Gate] = []
     for k in range(size):
         if abs(phi[k]) > ATOL_DROP:

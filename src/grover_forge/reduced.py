@@ -8,7 +8,7 @@ the requested ones; only the setwise image matters for the search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PermutationValidationError, ValidationError
 from .ir import Circuit, Controlled, Gate, Single, X, qubit_bits
@@ -86,6 +86,18 @@ class PermutationPlan:
     pairs: tuple[tuple[int, int], ...]
     paths: tuple[tuple[int, ...], ...]
 
+    def swaps(self) -> list[tuple[int, int]]:
+        """The (s, t) label pairs pi_sigma swaps, one per gate, in circuit
+        order: paper mode walks each path backwards, carrying its canonical
+        label to the requested partner; exact mode walks it there and back,
+        the palindrome that realizes the pair's transposition exactly."""
+        out: list[tuple[int, int]] = []
+        for path in self.paths:
+            steps = list(zip(path, path[1:]))
+            out += (steps[::-1] if self.mode == "paper"
+                    else steps + steps[-2::-1])
+        return out
+
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -97,17 +109,14 @@ class PermutationPlan:
         }
 
 
-def _paper_carries(targets: TargetSet, canon: TargetSet, paths) -> bool:
-    """Whether the reversed gray chains carry canon onto the targets.
-
-    Each gray step is an X controlled on all other qubits: it swaps exactly
-    its two labels, so the labels alone decide, before any gate exists."""
+def _paper_carries(targets: TargetSet, canon: TargetSet,
+                   plan: PermutationPlan) -> bool:
+    """Whether the paper plan's swaps carry canon onto the targets: the
+    labels alone decide, before any gate exists."""
     held = set(canon.labels)
-    for path in paths:
-        for i in reversed(range(len(path) - 1)):
-            s, t = path[i], path[i + 1]
-            if (s in held) != (t in held):
-                held ^= {s, t}
+    for s, t in plan.swaps():
+        if (s in held) != (t in held):
+            held ^= {s, t}
     return held == targets.label_set
 
 
@@ -129,15 +138,16 @@ def _collision_error(targets: TargetSet, canon: TargetSet,
         "use mode='exact'", colliding=sorted(colliding))
 
 
-def build_pi_sigma(targets: TargetSet, mode: str = "paper",
-                   validate: bool = True) -> tuple[Circuit, PermutationPlan]:
-    """Permutation circuit carrying the canonical targets onto `targets`.
+def plan_pi_sigma(targets: TargetSet, mode: str = "paper",
+                  validate: bool = True) -> PermutationPlan:
+    """The labels-only plan of the permutation carrying the canonical
+    targets onto `targets`.
 
-    paper mode emits one multi-controlled X per gray step and, unless
+    paper mode takes one gray step per chain link and, unless
     validate=False, checks that overlapping chains keep the setwise image;
-    exact mode emits the palindrome realizing each pair's transposition
-    exactly, at up to twice the gate count; auto builds paper mode when
-    its check passes and exact mode otherwise.  plan.mode is the one built.
+    exact mode realizes each pair's transposition exactly, at up to twice
+    the steps; auto plans paper mode when its check passes and exact mode
+    otherwise.  plan.mode is the one planned.
     """
     if mode not in ("paper", "exact", "auto"):
         raise ValidationError(f"unknown permutation mode {mode!r}")
@@ -148,23 +158,20 @@ def build_pi_sigma(targets: TargetSet, mode: str = "paper",
     c_side = sorted(canon.label_set - shared)
     pairs = tuple(zip(b_side, c_side))
     paths = tuple(tuple(gray_path(x, y, n)) for x, y in pairs)
-    if mode == "auto":
-        mode = "paper" if _paper_carries(targets, canon, paths) else "exact"
+    plan = PermutationPlan(n=n, mode="paper" if mode == "auto" else mode,
+                           pairs=pairs, paths=paths)
+    if mode == "auto" and not _paper_carries(targets, canon, plan):
+        plan = replace(plan, mode="exact")
     elif (mode == "paper" and validate
-          and not _paper_carries(targets, canon, paths)):
+          and not _paper_carries(targets, canon, plan)):
         raise _collision_error(targets, canon, paths)
+    return plan
 
-    gates: list[Gate] = []
-    for path in paths:
-        steps = [_transposition_gate(path[i], path[i + 1], n)
-                 for i in range(len(path) - 1)]
-        if mode == "paper":
-            # Reversed chain: the circuit then walks each canonical label
-            # back along the path to its requested partner.
-            gates.extend(reversed(steps))
-        else:
-            gates.extend(steps)
-            gates.extend(reversed(steps[:-1]))
 
-    plan = PermutationPlan(n=n, mode=mode, pairs=pairs, paths=paths)
-    return Circuit(n, tuple(gates)), plan
+def build_pi_sigma(targets: TargetSet, mode: str = "paper",
+                   validate: bool = True) -> tuple[Circuit, PermutationPlan]:
+    """Permutation circuit carrying the canonical targets onto `targets`:
+    one multi-controlled X per swap of `plan_pi_sigma`'s plan."""
+    plan = plan_pi_sigma(targets, mode, validate)
+    gates = tuple(_transposition_gate(s, t, plan.n) for s, t in plan.swaps())
+    return Circuit(plan.n, gates), plan

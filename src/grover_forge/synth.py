@@ -9,7 +9,9 @@ reflection about that superposition.
 """
 from __future__ import annotations
 
-from .dichotomy import PrefixTable, build_prefix_table, conditional_prob, marginal_prob
+from fractions import Fraction
+
+from .dichotomy import PrefixTable, build_prefix_table
 from .errors import ValidationError
 from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
                  qubit_bits, ry_from_probs)
@@ -19,31 +21,27 @@ from .targets import TargetSet, bitstring
 def build_stage(table: PrefixTable, m: int) -> Circuit:
     """The stage-m circuit: rotations on qubit m-1 (0-based).
 
-    Branches with probability pair (1, 0) are identity and dropped.  When
-    every prefix at depth m-1 is populated and all branch splits agree, the
-    stage collapses to one uncontrolled rotation.
+    Each populated (m-1)-bit prefix splits its target count c into the
+    child counts (c0, c1); depth 0 is the one prefix 0 with every target.
+    Branches with split (1, 0) are identity and dropped.  When every prefix
+    at depth m-1 is populated and all splits agree, the stage collapses to
+    one uncontrolled rotation.
     """
     n = table.n
     if not 1 <= m <= n:
         raise ValidationError(f"stage {m} out of range 1..{n}")
-    if m == 1:
-        p0, p1 = marginal_prob(table, 1, 0), marginal_prob(table, 1, 1)
-        if p1 == 0:
-            return Circuit(n, ())
-        return Circuit(n, (Single(ry_from_probs(p0, p1), 0),))
-
     depth = m - 1
-    support = sorted(table.support(depth))
-    splits = [(alpha,
-               conditional_prob(table, depth, 0, alpha),
-               conditional_prob(table, depth, 1, alpha))
-              for alpha in support]
-    if (len(support) == 1 << depth
+    parents = table.levels[depth - 1] if depth else {0: table.total}
+    children = table.levels[depth]
+    splits = [(alpha, Fraction(children.get(2 * alpha, 0), c),
+               Fraction(children.get(2 * alpha + 1, 0), c))
+              for alpha, c in sorted(parents.items())]
+    if (len(splits) == 1 << depth
             and all(s[1:] == splits[0][1:] for s in splits)):
         p0, p1 = splits[0][1:]
         if p1 == 0:
             return Circuit(n, ())
-        return Circuit(n, (Single(ry_from_probs(p0, p1), m - 1),))
+        return Circuit(n, (Single(ry_from_probs(p0, p1), depth),))
 
     # Every rotation is controlled on all of qubits 0..depth-1, set to its
     # prefix alpha.
@@ -53,7 +51,7 @@ def build_stage(table: PrefixTable, m: int) -> Circuit:
         if p1 == 0:
             continue
         gates.append(Controlled(mask, qubit_bits(alpha, depth),
-                                ry_from_probs(p0, p1), m - 1))
+                                ry_from_probs(p0, p1), depth))
     return Circuit(n, tuple(gates))
 
 

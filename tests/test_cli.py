@@ -150,11 +150,13 @@ def test_amplitude_writer_matches_json(tmp_path_factory, values):
 
 def test_simulate_qubit_limit(tmp_path, monkeypatch, capsys):
     path = tmp_path / "big.json"
-    path.write_text('{"n": 30, "targets": [5]}')
+    path.write_text('{"n": 40, "targets": [5]}')
     monkeypatch.setenv("GROVER_FORGE_MAX_QUBITS", "8")
-    assert main(["simulate", "--targets", str(path),
-                 "--variant", "conventional", "--k", "1"]) == 3
-    assert "exceeds simulator limit" in capsys.readouterr().err
+    # k* = 823,549 is above the iteration limit too: n is checked first.
+    for k in ("1", "auto"):
+        assert main(["simulate", "--targets", str(path),
+                     "--variant", "conventional", "--k", k]) == 3
+        assert "exceeds simulator limit" in capsys.readouterr().err
 
 
 def test_paper_mode_failure_exit_code(tmp_path, capsys):
@@ -233,6 +235,28 @@ def test_compare_rejects_nonpositive_n(tmp_path, capsys, argv):
     assert main(["compare", *argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_rejects_negative_k(target_file, capsys):
+    assert main(["compare", "--targets", target_file, "--k", "-7"]) == 2
+    captured = capsys.readouterr()
+    assert "iteration count -7 out of range" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("k", ["-1", "3000000"])
+def test_simulate_iteration_limit_before_allocation(target_file, capsys,
+                                                    monkeypatch, k):
+    def refuse(n):
+        raise AssertionError(f"allocated a {n}-qubit state")
+
+    monkeypatch.setattr(engine, "uniform_state", refuse)
+    for variant in engine.VARIANTS:
+        assert main(["simulate", "--targets", target_file,
+                     "--variant", variant, "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert "out of range" in captured.err and captured.out == ""
+    assert main(["compare", "--targets", target_file, "--k", k]) == 2
 
 
 def test_validation_exit_code(tmp_path, capsys):

@@ -3,13 +3,12 @@ import pytest
 from conftest import random_target_set, state_of_targets, target_sets
 from hypothesis import example, given, settings
 
-from grover_forge import (PermutationValidationError, SimulatorLimitError,
-                          TargetSet, ValidationError, analytic_schedule,
-                          apply_circuit, build_D, build_O_conv, build_oracle,
-                          build_P, build_pi_sigma, build_U_tilde, grover_run,
-                          grover_states, success_probability,
-                          uniform_state, unitary_of)
-from grover_forge import engine
+from grover_forge import (SimulatorLimitError, TargetSet, ValidationError,
+                          analytic_schedule, apply_circuit, build_D,
+                          build_O_conv, build_oracle, build_P, build_pi_sigma,
+                          build_U_tilde, grover_run, grover_states,
+                          success_probability, uniform_state, unitary_of)
+from grover_forge import engine, reduced
 from grover_forge.ir import H, Circuit, PatternPhase, Single, StateVector
 from grover_forge.synth import reflection
 
@@ -121,6 +120,12 @@ def test_run_validation(example_targets):
         grover_run(example_targets, "modified", -1)
     with pytest.raises(ValidationError):
         list(grover_states(example_targets, "modified", -1))
+    engine.check_iterations(engine.MAX_ITERATIONS)
+    with pytest.raises(ValidationError, match="out of range"):
+        grover_run(example_targets, "modified", engine.MAX_ITERATIONS + 1)
+    with pytest.raises(ValidationError, match="out of range"):
+        next(grover_states(example_targets, "reduced",
+                           engine.MAX_ITERATIONS + 1))
 
 
 def test_qubit_limit_checked_before_allocation(monkeypatch):
@@ -212,7 +217,7 @@ def test_fuse_windows():
 def assert_gather_is_wrap(targets, mode):
     wrap, plan = build_pi_sigma(targets, mode, validate=False)
     assert plan.mode == mode
-    index = engine._gather_index(wrap)
+    index = engine._gather_index(plan)
     rng = np.random.default_rng(targets.size)
     dim = 1 << targets.n
     state = StateVector(targets.n, rng.normal(size=dim)
@@ -231,7 +236,7 @@ def test_gather_equals_wrap_drawn(targets):
 @pytest.mark.parametrize("mode", ["paper", "exact"])
 def test_reduced_state_is_wrap_of_permuted_frame(example_targets, mode):
     wrap, _ = build_pi_sigma(example_targets, mode)
-    run = engine._Run(example_targets, "reduced", mode)
+    run = engine._Run(example_targets, "reduced", 3, mode)
     for _ in range(3):
         run.step()
         framed = StateVector(run.n, run.amps.copy())
@@ -239,10 +244,13 @@ def test_reduced_state_is_wrap_of_permuted_frame(example_targets, mode):
                               apply_circuit(framed, wrap).amplitudes)
 
 
-def test_wrap_that_is_not_a_permutation_raises(monkeypatch, example_targets):
-    def with_hadamard(targets, mode):
-        return Circuit(targets.n, (Single(H, 0),)), None
+def test_reduced_run_builds_no_pi_sigma_gate(monkeypatch):
+    def no_gates(*args):
+        raise AssertionError("pi_sigma gate built")
 
-    monkeypatch.setattr(engine, "build_pi_sigma", with_hadamard)
-    with pytest.raises(PermutationValidationError, match="not a basis"):
-        grover_run(example_targets, "reduced", 1)
+    monkeypatch.setattr(reduced, "_transposition_gate", no_gates)
+    for labels in ((0, 1, 2, 4), (1, 2, 3)):  # paper plan, exact fallback
+        targets = TargetSet(3, labels)
+        state = grover_run(targets, "reduced", 1)
+        want = grover_run(targets, "conventional", 1)
+        assert np.abs(state.amplitudes - want.amplitudes).max() < 1e-12

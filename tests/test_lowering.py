@@ -142,3 +142,33 @@ def test_random_circuits_equivalent(seed):
     lowered = lower(circuit)
     assert only_basis_gates(lowered)
     assert_equivalent(circuit, lowered)
+
+
+def loop_angle_transform(theta):
+    """Reference: phi[k] = mean over a of (-1)^{popcount(a & gray(k))}
+    theta[a], one term at a time."""
+    size = len(theta)
+    phi = np.zeros(size)
+    for k in range(size):
+        g = k ^ (k >> 1)
+        phi[k] = sum(-t if bin(a & g).count("1") % 2 else t
+                     for a, t in enumerate(theta)) / size
+    return phi
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_multiplexor_angles_match_loop_transform(m):
+    # Controls on qubits 0..m-1, target m; bit b of pattern a is the
+    # required value of qubit m-1-b.
+    rng = np.random.default_rng(m)
+    theta = rng.uniform(-1.5, 1.5, size=1 << m)
+    mask = (1 << m) - 1
+    run = [Controlled(mask, int(format(a, f"0{m}b")[::-1], 2),
+                      _ry(t), m) for a, t in enumerate(theta)]
+    lowered = lower(Circuit(m + 1, tuple(run)))
+    angles = [2 * np.arctan2(g.u[1, 0].real, g.u[0, 0].real)
+              for g in lowered.gates if isinstance(g, Single)]
+    assert len(angles) == 1 << m
+    assert np.abs(np.array(angles) - loop_angle_transform(theta)).max() \
+        < 1e-12
+    assert_equivalent(Circuit(m + 1, tuple(run)), lowered)
