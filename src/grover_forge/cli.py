@@ -77,6 +77,7 @@ def _load_targets(path) -> TargetSet:
 
 def _cmd_synth(args) -> int:
     targets = _load_targets(args.targets)
+    plan = None
     if args.variant == "u":
         circuit = build_U(targets)
         bound = complexity.bound_U(targets.n, targets.size)
@@ -86,24 +87,26 @@ def _cmd_synth(args) -> int:
     elif args.variant == "pi-sigma":
         circuit, plan = build_pi_sigma(targets, args.mode)
         bound = complexity.bound_pi(targets.n, targets.size)
-        plan_path = args.out + ".plan.json"
-        with open(plan_path, "w", encoding="utf-8") as fh:
-            json.dump(plan.to_json(), fh, indent=1)
     elif args.variant == "oracle":
         circuit = build_oracle(targets)
         bound = None
     else:
         circuit = build_O_conv(targets)
         bound = complexity.bound_O_conv(targets.n, targets.size)
+    # Lowering may refuse the circuit, so it runs before any file is written.
+    lowered = lower(circuit) if args.qasm else None
+    if plan is not None:
+        with open(args.out + ".plan.json", "w", encoding="utf-8") as fh:
+            json.dump(plan.to_json(), fh, indent=1)
     save_circuit(circuit, args.out)
     cost = complexity.count(circuit)
     line = f"{args.variant}: {len(circuit)} gates, counted cost {cost}"
     if bound is not None:
         line += f" (bound {bound})"
     print(line)
-    if args.qasm:
+    if lowered is not None:
         with open(args.qasm, "w", encoding="utf-8") as fh:
-            fh.write(to_qasm(lower(circuit)))
+            fh.write(to_qasm(lowered))
         print(f"lowered QASM written to {args.qasm}")
     return 0
 

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
 from .engine import analytic_schedule, check_iterations
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
-from .synth import build_D, build_O_conv, build_P, build_U, reflection
+from .synth import build_D, build_O_conv, build_P, build_U
 from .targets import TargetSet
 
 
@@ -76,9 +76,17 @@ def _check_qubits(n: int) -> None:
         raise ValidationError(f"qubit count must be positive, got {n}")
 
 
+def _check_density(gamma: float) -> None:
+    """A target density l/n lies in [0, 1]; NaN and infinities do not."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValidationError(
+            f"target density must lie in [0, 1], got {gamma}")
+
+
 def gamma_approx(n: int, gamma: float) -> float:
     """Large-n approximation of the cost ratio at target density l/n."""
     _check_qubits(n)
+    _check_density(gamma)
     ln2 = math.log(2)
     terms = [math.log(n) - n * (1 - gamma) / 2 * ln2, -n * gamma * ln2]
     value = gamma * gamma
@@ -135,7 +143,6 @@ class ComplexityReport:
     s: int
     l: int
     k: int
-    pi_mode: str
     counts: dict = field(default_factory=dict)
     bounds: dict = field(default_factory=dict)
     gamma: float = 0.0
@@ -149,7 +156,8 @@ class ComplexityReport:
     def to_json(self) -> dict:
         return {
             "n": self.n, "s": self.s, "l": self.l, "k": self.k,
-            "pi_mode": self.pi_mode,
+            # Counting always builds pi_sigma in paper mode.
+            "pi_mode": "paper",
             "counts": dict(self.counts), "bounds": dict(self.bounds),
             "gamma": self.gamma,
             "Gamma_exact": self.gamma_exact,
@@ -158,12 +166,13 @@ class ComplexityReport:
         }
 
 
-def build_report(targets: TargetSet, k: int | None = None,
-                 pi_mode: str = "paper") -> ComplexityReport:
+def build_report(targets: TargetSet, k: int | None = None
+                 ) -> ComplexityReport:
     """Count every construction for one target set.
 
-    Counting does not require the gray-code chains to be semantically
-    valid, so paper mode is never rejected here.
+    pi_sigma is counted in paper mode.  Counting does not require the
+    gray-code chains to be semantically valid, so paper mode is never
+    rejected here.  The oracle U P U^dagger is counted from its parts.
     """
     n, s = targets.n, targets.size
     l = target_bits(s)
@@ -173,18 +182,17 @@ def build_report(targets: TargetSet, k: int | None = None,
         check_iterations(k)
     prep = build_U(targets)
     prep_tilde = build_U_tilde(s, n)
-    pi_circ, _ = build_pi_sigma(targets, pi_mode, validate=False)
-    oracle = reflection(prep)
+    pi_circ, _ = build_pi_sigma(targets, "paper", validate=False)
     oracle_conv = build_O_conv(targets)
-    d_circ, p_circ = build_D(n), build_P(n)
+    u_cost, p_cost = count(prep), count(build_P(n))
     counts = {
-        "U": count(prep),
+        "U": u_cost,
         "U_tilde": count(prep_tilde),
         "pi_sigma": count(pi_circ),
-        "oracle": count(oracle),
+        "oracle": 2 * u_cost + p_cost,
         "oracle_conv": count(oracle_conv),
-        "D": count(d_circ),
-        "P": count(p_circ),
+        "D": count(build_D(n)),
+        "P": p_cost,
     }
     counts["reduced_run"] = (2 * counts["pi_sigma"]
                              + k * (counts["U_tilde"] * 2 + counts["P"]
@@ -198,6 +206,6 @@ def build_report(targets: TargetSet, k: int | None = None,
         "reduced_run": total_reduced_cost(n, s, k),
     }
     exact, approx = gamma_ratio(n, s)
-    return ComplexityReport(n=n, s=s, l=l, k=k, pi_mode=pi_mode,
-                            counts=counts, bounds=bounds, gamma=l / n,
-                            gamma_exact=exact, gamma_approximate=approx)
+    return ComplexityReport(n=n, s=s, l=l, k=k, counts=counts, bounds=bounds,
+                            gamma=l / n, gamma_exact=exact,
+                            gamma_approximate=approx)

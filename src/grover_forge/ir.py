@@ -11,8 +11,10 @@ Three gate kinds cover everything the synthesis passes emit:
                       unit-modulus phase.
 
 Qubit 0 is the most significant bit of the basis-state index.  Gate lists
-apply left to right.  Dense matrices exist only in ``unitary_of``, which is
-a testing oracle; simulation works in place on the amplitude array.
+apply left to right.  Dense matrices exist only in ``unitary_of``: the
+tests use it as their oracle, and the engine builds its fused blocks of
+single-qubit gates with it.  Simulation works in place on the amplitude
+array.
 """
 from __future__ import annotations
 
@@ -267,7 +269,8 @@ MAX_DENSE_QUBITS = 12
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense matrix of a circuit.  Testing oracle only.
+    """Dense matrix of a circuit, for the tests' dense oracle and for the
+    engine's fused blocks of a few qubits.
 
     All columns are propagated together: axis 0 indexes the output basis
     state, axis 1 the input column, and each gate acts on the row index.

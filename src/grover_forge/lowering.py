@@ -1,12 +1,16 @@
 """Lowering of the gate IR to single-qubit gates plus CNOTs.
 
-Runs of controlled real rotations that share one target and one control
-set (the shape every synthesis stage has) are lowered jointly as a
-multiplexed rotation: 2^m CNOTs and 2^m rotations for m controls, using
-the gray-code ordering of control patterns.  Everything else goes through
-recursive control reduction: a controlled-U splits into two-gate-deep
-square roots until only singly controlled gates remain, and those become
-two CNOTs plus single-qubit rotations.
+One primitive emits the CNOTs: the gray-code multiplexor `_mux`, a y or z
+rotation on a target whose angle depends on the pattern of m other
+qubits, as 2^m rotations and 2^m CNOTs.  A run of controlled real
+rotations sharing target and controls (every synthesis stage) is one Ry
+multiplexor.  A diagonal on k qubits is a cascade of Rz multiplexors with
+2^k - 2 CNOTs; a pattern phase is one diagonal over all n qubits.  Any
+other controlled gate is a diagonal in its block's eigenbasis: with
+u = W diag(e^{i a0}, e^{i a1}) W^dagger it becomes W^dagger on the
+target, one diagonal over the controls and the target, then W.  Only a
+single-control X bypasses the multiplexor, as one CNOT.  Global phase is
+dropped.
 """
 from __future__ import annotations
 
@@ -23,6 +27,10 @@ from .ir import (ATOL_UNITARY, I2, Circuit, Controlled, Gate, PatternPhase,
 # A rotation angle, phase or block this close to zero or the identity is
 # dropped from the lowered circuit.
 ATOL_DROP = 1e-14
+
+# The most CNOTs `lower` emits; it refuses a circuit that needs more.  This
+# admits U of every target set on up to 16 qubits (2^16 - 2 CNOTs).
+MAX_LOWERED_CNOTS = 1 << 16
 
 
 def _cnot(control: int, target: int) -> Controlled:
@@ -75,106 +83,18 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
-def sqrt_unitary(u: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 unitary, in closed form."""
-    det = np.linalg.det(u)
-    alpha = cmath.phase(det) / 2
-    v = u * cmath.exp(-1j * alpha)
-    c = min(1.0, max(-1.0, (v[0, 0] + v[1, 1]).real / 2))
-    theta = math.acos(c)
-    if abs(math.sin(theta)) <= ATOL_DROP:
-        if c > 0:
-            root = np.eye(2, dtype=complex)
-        else:
-            # v = -1: pick the z axis for the half turn.
-            root = np.diag([1j, -1j]).astype(complex)
-    else:
-        axis_term = (v - c * np.eye(2)) / (1j * math.sin(theta))
-        root = (math.cos(theta / 2) * np.eye(2)
-                + 1j * math.sin(theta / 2) * axis_term)
-    return root * cmath.exp(1j * alpha / 2)
-
-
-def _lower_single_control(control: int, u: np.ndarray, target: int) -> list[Gate]:
-    """Exact controlled-U on a positive control: two CNOTs, rotations, and a
-    phase gate on the control."""
-    if blocks_close(u, X):
-        return [_cnot(control, target)]
-    alpha, beta, gamma, delta = zyz_angles(u)
-    a = _rz(beta) @ _ry(gamma / 2)
-    b = _ry(-gamma / 2) @ _rz(-(delta + beta) / 2)
-    c = _rz((delta - beta) / 2)
-    out: list[Gate] = []
-    if not blocks_close(c, I2, ATOL_DROP):
-        out.append(Single(c, target))
-    out.append(_cnot(control, target))
-    if not blocks_close(b, I2, ATOL_DROP):
-        out.append(Single(b, target))
-    out.append(_cnot(control, target))
-    if not blocks_close(a, I2, ATOL_DROP):
-        out.append(Single(a, target))
-    if abs(alpha) > ATOL_DROP:
-        out.append(Single(np.diag([1, cmath.exp(1j * alpha)]), control))
-    return out
-
-
-def _lower_positive_controls(controls: list[int], u: np.ndarray,
-                             target: int) -> list[Gate]:
-    """Recursive control reduction for an all-positive multi-control.
-
-    The C^{m-1}X toggle on the last control appears twice; its gates are
-    immutable, so one lowered copy is spliced into both places.
-    """
-    if not controls:
-        return [Single(u, target)]
-    if len(controls) == 1:
-        return _lower_single_control(controls[0], u, target)
-    v = sqrt_unitary(u)
-    rest, last = controls[:-1], controls[-1]
-    toggle = _lower_positive_controls(rest, X, last)
-    return (_lower_positive_controls(rest, v, target) + toggle
-            + _lower_single_control(last, v.conj().T, target) + toggle
-            + _lower_single_control(last, v, target))
-
-
-def _lower_multi_controlled(gate: Controlled) -> list[Gate]:
-    flips = [Single(X, q) for q, b in gate.controls if b == 0]
-    qubits = [q for q, _ in gate.controls]
-    inner = _lower_positive_controls(qubits, np.asarray(gate.u), gate.target)
-    return flips + inner + list(flips)
-
-
-def _lower_pattern_phase(gate: PatternPhase, n: int) -> list[Gate]:
-    """X-conjugated controlled phase, the standard shape for a basis-state
-    phase flip."""
-    flips = [Single(X, q) for q, ch in enumerate(gate.pattern) if ch == "0"]
-    phase_block = np.diag([1, gate.phase]).astype(complex)
-    if n == 1:
-        core = [Single(phase_block, 0)]
-    else:
-        core = _lower_positive_controls(list(range(n - 1)), phase_block, n - 1)
-    return flips + core + list(flips)
-
-
-def _rotation_angle(u: np.ndarray) -> float:
-    return 2 * math.atan2(u[1, 0].real, u[0, 0].real)
-
-
 def _gray(k: int) -> int:
     return k ^ (k >> 1)
 
 
-def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
-    """Joint lowering of controlled rotations sharing target and controls."""
-    target = run[0].target
-    qubits = [q for q, _ in run[0].controls]
+def _mux(rotation, qubits: list[int], target: int,
+         theta: np.ndarray) -> list[Gate]:
+    """rotation(theta[a]) on `target`, a the pattern on `qubits` (qubits[i]
+    is bit m-1-i): 2^m rotations and 2^m CNOTs, or nothing when every angle
+    is within ATOL_DROP.  Overwrites `theta`."""
+    if np.abs(theta).max() <= ATOL_DROP:
+        return []
     m = len(qubits)
-    theta = np.zeros(1 << m)
-    for gate in run:
-        pattern = 0
-        for i, (_, b) in enumerate(gate.controls):
-            pattern |= b << (m - 1 - i)
-        theta[pattern] += _rotation_angle(gate.u)
     # Angle transform theta[a] = sum_k (-1)^{popcount(a & gray(k))} phi[k],
     # inverted by a fast Walsh-Hadamard butterfly read back in gray order.
     for bit in range(m):
@@ -187,11 +107,78 @@ def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
     out: list[Gate] = []
     for k in range(size):
         if abs(phi[k]) > ATOL_DROP:
-            out.append(Single(_ry(phi[k]), target))
-        diff = _gray(k) ^ _gray((k + 1) % size)
-        bit_pos = diff.bit_length() - 1
-        out.append(_cnot(qubits[m - 1 - bit_pos], target))
+            out.append(Single(rotation(phi[k]), target))
+        if m:
+            bit = (_gray(k) ^ _gray((k + 1) % size)).bit_length() - 1
+            out.append(_cnot(qubits[m - 1 - bit], target))
     return out
+
+
+def _diagonal(qubits: list[int], phases: np.ndarray) -> list[Gate]:
+    """diag(e^{i phases[a]}) over `qubits`, with a read as in `_mux`, up to
+    global phase.  Each step peels the last qubit: for every pattern of the
+    others, diag(e^{i even}, e^{i odd}) is e^{i (even + odd)/2} Rz(odd -
+    even), and the mean phases are left to the qubits before it."""
+    out: list[Gate] = []
+    for k in range(len(qubits), 0, -1):
+        even, odd = phases[0::2], phases[1::2]
+        out += _mux(_rz, qubits[:k - 1], qubits[k - 1], odd - even)
+        phases = (even + odd) / 2
+    return out
+
+
+def _eigenbasis(u: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(W, a0, a1) with u = W diag(e^{i a0}, e^{i a1}) W^dagger.
+
+    u minus its mean eigenvalue is c (n . sigma), c complex, n a real unit
+    vector.  W holds n . sigma's +1 eigenvector in closed form and its
+    orthogonal complement, so it is unitary however close the eigenvalues
+    lie; it is I when u is within ATOL_DROP of a multiple of I."""
+    t = u - (u[0, 0] + u[1, 1]) / 2 * I2
+    cn = np.array([t[0, 1] + t[1, 0], 1j * (t[0, 1] - t[1, 0]), 2 * t[0, 0]])
+    big = cn[np.argmax(np.abs(cn))] / 2
+    w = I2
+    if abs(big) > ATOL_DROP:
+        n = (cn * (abs(big) / big)).real
+        nx, ny, nz = n / np.linalg.norm(n)
+        v = np.array([1 + nz, nx + 1j * ny] if nz >= 0
+                     else [nx - 1j * ny, 1 - nz])
+        v0, v1 = v / np.linalg.norm(v)
+        w = np.array([[v0, -v1.conjugate()], [v1, v0.conjugate()]])
+    d = w.conj().T @ u @ w
+    return w, cmath.phase(d[0, 0]), cmath.phase(d[1, 1])
+
+
+def _pattern(controls) -> int:
+    """The required bits as an index, the first control's bit the highest."""
+    m = len(controls)
+    return sum(b << (m - 1 - i) for i, (_, b) in enumerate(controls))
+
+
+def _lower_controlled(gate: Controlled) -> list[Gate]:
+    """One diagonal over controls and target, in the block's eigenbasis."""
+    controls = gate.controls
+    if len(controls) == 1 and blocks_close(gate.u, X):
+        (q, b), = controls
+        flips = [] if b else [Single(X, q)]
+        return flips + [_cnot(q, gate.target)] + flips
+    w, a0, a1 = _eigenbasis(np.asarray(gate.u))
+    phases = np.zeros(2 << len(controls))
+    at = _pattern(controls) << 1
+    phases[at], phases[at | 1] = a0, a1
+    core = _diagonal([q for q, _ in controls] + [gate.target], phases)
+    if w is I2:
+        return core
+    return [Single(w.conj().T, gate.target)] + core + [Single(w, gate.target)]
+
+
+def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
+    """Joint lowering of controlled rotations sharing target and controls."""
+    theta = np.zeros(1 << run[0].mask.bit_count())
+    for gate in run:
+        ry = gate.u.real
+        theta[_pattern(gate.controls)] += 2 * math.atan2(ry[1, 0], ry[0, 0])
+    return _mux(_ry, [q for q, _ in run[0].controls], run[0].target, theta)
 
 
 def _rotation_run_key(gate: Gate):
@@ -204,24 +191,33 @@ def _rotation_run_key(gate: Gate):
 def lower(circuit: Circuit) -> Circuit:
     """Rewrite a circuit into single-qubit gates and CNOTs.
 
-    Semantics are preserved exactly up to a global phase.
-    """
+    Semantics are preserved exactly up to a global phase.  Before any gate
+    is built, the CNOT counts are summed in closed form (2^m per rotation
+    run, at most 2^(m+1) per other controlled gate and 2^n per pattern
+    phase); above MAX_LOWERED_CNOTS, ValidationError is raised."""
+    n = circuit.n
+    groups = [(key, list(group)) for key, group
+              in itertools.groupby(circuit.gates, _rotation_run_key)]
+    cnots = 0
+    for key, group in groups:
+        cnots += (1 << key[1].bit_count() if key is not None else sum(
+            2 << g.mask.bit_count() if isinstance(g, Controlled)
+            else 1 << n if isinstance(g, PatternPhase) else 0 for g in group))
+        if cnots > MAX_LOWERED_CNOTS:
+            raise ValidationError(
+                f"lowering would emit more than {MAX_LOWERED_CNOTS} CNOTs")
     out: list[Gate] = []
-    for key, group in itertools.groupby(circuit.gates, _rotation_run_key):
+    for key, group in groups:
         if key is not None:
-            out += _lower_rotation_run(list(group))
+            out += _lower_rotation_run(group)
             continue
         for gate in group:
             if isinstance(gate, Single):
                 out.append(gate)
             elif isinstance(gate, PatternPhase):
-                out += _lower_pattern_phase(gate, circuit.n)
+                phases = np.zeros(1 << n)
+                phases[int(gate.pattern, 2)] = cmath.phase(gate.phase)
+                out += _diagonal(list(range(n)), phases)
             else:
-                out += _lower_multi_controlled(gate)
-    lowered = Circuit(circuit.n, tuple(out))
-    for gate in lowered.gates:
-        if isinstance(gate, PatternPhase):
-            raise ValidationError("lowering left a pattern phase behind")
-        if isinstance(gate, Controlled) and not is_cnot(gate):
-            raise ValidationError("lowering left a multi-controlled gate")
-    return lowered
+                out += _lower_controlled(gate)
+    return Circuit(n, tuple(out))

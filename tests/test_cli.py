@@ -64,6 +64,19 @@ def test_synth_qasm_export(target_file, tmp_path):
     assert "cx " in text and "ry(" in text
 
 
+def test_synth_qasm_budget_writes_nothing(tmp_path, capsys):
+    # U of one target on 30 qubits lowers to about 2^30 CNOTs; lowering
+    # refuses it before building a gate, and no output file is written.
+    path = tmp_path / "wide.txt"
+    path.write_text("n=30\n" + "1" * 30 + "\n")
+    out, qasm = tmp_path / "u.json", tmp_path / "u.qasm"
+    assert main(["synth", "--targets", str(path), "--variant", "u",
+                 "--out", str(out), "--qasm", str(qasm)]) == 2
+    captured = capsys.readouterr()
+    assert "CNOTs" in captured.err and captured.out == ""
+    assert not out.exists() and not qasm.exists()
+
+
 def test_synth_oracle_matches_reflection(target_file, tmp_path):
     out = str(tmp_path / "oracle.json")
     assert main(["synth", "--targets", target_file, "--variant", "oracle",
@@ -221,6 +234,18 @@ def test_compare_sweep_grid_points(tmp_path, grid, points):
 def test_compare_bad_sweep_writes_nothing(tmp_path, capsys, sweep):
     out = tmp_path / "sweep.csv"
     assert main(["compare", "--sweep", *sweep, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", [
+    "nan", "inf", "-0.1", "1.5", "0.5,1.5",
+    "nan:0.5:0.1", "-0.1:0.5:0.1", "0.5:1.5:0.5", "0:inf:0.5",
+])
+def test_compare_sweep_rejects_impossible_density(tmp_path, capsys, gamma):
+    out = tmp_path / "sweep.csv"
+    assert main(["compare", "--sweep", "n=10", f"gamma={gamma}",
+                 "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 

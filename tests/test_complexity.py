@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import random_target_set
+from conftest import random_target_set, target_sets
+from hypothesis import given, settings
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           TargetSet, ValidationError, bound_pi, bound_U,
@@ -69,6 +70,15 @@ def test_gamma_ratio_validation():
         gamma_ratio(3, 9)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf"),
+                                   float("-inf"), -0.1, 1.5])
+def test_gamma_approx_rejects_impossible_density(gamma):
+    with pytest.raises(ValidationError, match="density"):
+        gamma_approx(10, gamma)
+    with pytest.raises(ValidationError, match="density"):
+        sweep_gamma([10], [0.5, gamma])
+
+
 def test_gamma_approx_limits():
     # gamma -> 0 keeps only the dominated-oracle terms; for large n the
     # ratio tends to 2 gamma^2.
@@ -113,5 +123,12 @@ def test_report_verdict_tracks_ratio():
 
 def test_report_accepts_colliding_paper_mode():
     # Counting must not reject sets whose paper-mode chains collide.
-    report = build_report(TargetSet(3, (1, 2, 3)), pi_mode="paper")
+    report = build_report(TargetSet(3, (1, 2, 3)))
     assert report.counts["pi_sigma"] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(target_sets(1, 7))
+def test_report_counts_the_built_oracle(targets):
+    assert build_report(targets, k=1).counts["oracle"] == \
+        count(build_oracle(targets))

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from conftest import phase_align, random_unitary_2x2
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grover_forge import Circuit, Controlled, PatternPhase, Single, unitary_of
-from grover_forge.ir import X
-from grover_forge.lowering import _ry, is_cnot, lower, sqrt_unitary, zyz_angles
+from grover_forge import (Circuit, Controlled, PatternPhase, Single,
+                          ValidationError, unitary_of)
+from grover_forge.ir import H, X
+from grover_forge.lowering import (MAX_LOWERED_CNOTS, _ry, is_cnot, lower,
+                                   zyz_angles)
 from grover_forge.synth import build_stage
 from grover_forge.dichotomy import build_prefix_table
 from grover_forge.targets import TargetSet
@@ -28,13 +32,6 @@ def test_zyz_reconstructs():
         rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
         rec = np.exp(1j * alpha) * rz(beta) @ _ry(gamma) @ rz(delta)
         assert np.allclose(rec, u, atol=1e-10)
-
-
-def test_sqrt_unitary():
-    rng = np.random.default_rng(1)
-    for u in [random_unitary_2x2(rng) for _ in range(20)] + [X, -np.eye(2)]:
-        s = sqrt_unitary(np.asarray(u, dtype=complex))
-        assert np.allclose(s @ s, u, atol=1e-10)
 
 
 def test_uncontrolled_gate_passes_through():
@@ -172,3 +169,115 @@ def test_multiplexor_angles_match_loop_transform(m):
     assert np.abs(np.array(angles) - loop_angle_transform(theta)).max() \
         < 1e-12
     assert_equivalent(Circuit(m + 1, tuple(run)), lowered)
+
+
+def cnot_count(circuit):
+    return sum(1 for g in circuit.gates if is_cnot(g))
+
+
+@st.composite
+def blocks(draw):
+    """A 2x2 block: random, random of determinant 1, X, Z, H, a multiple of
+    I, or e^{i phi} Ry(eps) with eigenvalues eps apart."""
+    kind = draw(st.sampled_from(["random", "det1", "X", "Z", "H", "scalar",
+                                 "near"]))
+    phi = draw(st.floats(-np.pi, np.pi))
+    if kind in ("random", "det1"):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        u = random_unitary_2x2(np.random.default_rng(seed))
+        return u / np.sqrt(np.linalg.det(u)) if kind == "det1" else u
+    if kind == "scalar":
+        return np.exp(1j * phi) * np.eye(2)
+    if kind == "near":
+        eps = draw(st.sampled_from([1e-6, 1e-10, 1e-13]))
+        return np.exp(1j * phi) * _ry(eps)
+    return {"X": X, "Z": np.diag([1, -1]), "H": H}[kind]
+
+
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 6))
+    kinds = ["single", "phase"] + (["controlled"] if n > 1 else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1,
+                              max_size=5)):
+        if kind == "phase":
+            gates.append(PatternPhase(
+                draw(st.text("01", min_size=n, max_size=n)),
+                np.exp(1j * draw(st.floats(-np.pi, np.pi)))))
+            continue
+        target = draw(st.integers(0, n - 1))
+        if kind == "single":
+            gates.append(Single(draw(blocks()), target))
+            continue
+        others = [q for q in range(n) if q != target]
+        qubits = draw(st.lists(st.sampled_from(others), min_size=1,
+                               max_size=n - 1, unique=True))
+        bits = draw(st.lists(st.integers(0, 1), min_size=len(qubits),
+                             max_size=len(qubits)))
+        gates.append(Controlled.from_pairs(zip(qubits, bits), draw(blocks()),
+                                           target))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuits())
+def test_lowering_matches_source_on_drawn_circuits(circuit):
+    lowered = lower(circuit)
+    assert only_basis_gates(lowered)
+    assert_equivalent(circuit, lowered)
+
+
+# CNOTs per gate before every controlled gate and pattern phase became one
+# diagonal: recursive square-root control reduction, C^1 X 1, C^1 U 2, and
+# the same count for X, U and a phase from two controls on.
+RECURSIVE_CNOTS = {1: 2, 2: 8, 3: 28, 4: 88, 5: 268, 6: 808, 7: 2428}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_cnots_per_gate(m):
+    # Mixed polarities: control q requires q % 2.
+    controls = tuple((q, q % 2) for q in range(m))
+    u = random_unitary_2x2(np.random.default_rng(900 + m))
+    x_gate = Circuit(m + 1, (Controlled.from_pairs(controls, X, m),))
+    u_gate = Circuit(m + 1, (Controlled.from_pairs(controls, u, m),))
+    pattern = "".join(str(q % 2) for q in range(m + 1))
+    phase = Circuit(m + 1, (PatternPhase(pattern, np.exp(0.7j)),))
+    diagonal = (1 << (m + 1)) - 2
+    want = {"x": 1 if m == 1 else diagonal, "u": diagonal, "phase": diagonal}
+    parent = {"x": 1 if m == 1 else RECURSIVE_CNOTS[m],
+              "u": RECURSIVE_CNOTS[m], "phase": RECURSIVE_CNOTS[m]}
+    for name, circuit in (("x", x_gate), ("u", u_gate), ("phase", phase)):
+        lowered = lower(circuit)
+        assert only_basis_gates(lowered)
+        assert cnot_count(lowered) == want[name] <= parent[name]
+        assert_equivalent(circuit, lowered)
+
+
+def test_positive_single_control_x_is_one_cnot():
+    lowered = lower(Circuit(2, (Controlled.from_pairs(((0, 1),), X, 1),)))
+    assert len(lowered.gates) == 1 and is_cnot(lowered.gates[0])
+
+
+def test_scalar_block_lowers_to_a_phase_on_the_controls():
+    # e^{i phi} I on the target is a phase on the controls alone: a
+    # diagonal over the two controls, 2 CNOTs, none of them on qubit 2.
+    gate = Controlled.from_pairs(((0, 1), (1, 0)), np.exp(0.4j) * np.eye(2), 2)
+    lowered = lower(Circuit(3, (gate,)))
+    assert cnot_count(lowered) == 2
+    assert all(g.target != 2 for g in lowered.gates)
+    assert_equivalent(Circuit(3, (gate,)), lowered)
+
+
+@pytest.mark.parametrize("n, gate", [
+    (17, PatternPhase("1" * 17, -1)),
+    (41, Controlled((1 << 40) - 1, 0, H, 40)),
+])
+def test_cnot_budget_refuses_before_building(n, gate, monkeypatch):
+    # 2^17 and 2^41 CNOTs: refused before any phase array is allocated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ValidationError, match=str(MAX_LOWERED_CNOTS)):
+        lower(Circuit(n, (gate,)))
