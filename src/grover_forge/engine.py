@@ -8,19 +8,26 @@ in the same sign convention and can be compared entrywise.
 A run pays once for two rewrites of its circuits.  Each run of consecutive
 `Single` gates becomes one dense block per window of FUSE adjacent qubits,
 built by `unitary_of`, so the kernel still defines what every gate means.
-The reduced variant's pi_sigma becomes one index array, read off its plan's
-label swaps: the run iterates in the permuted frame and gathers each state.
+Each synthesis stage, one rotation on its target for each populated prefix
+of the qubits before it, becomes one multiplexor step: every 2x2 block of
+the stage is applied at once, at the prefixes the blocks control, with the
+kernel's own products.  A run of pattern phases becomes one multiply at its
+labels.  The reduced variant's pi_sigma becomes one index array, read off
+its plan's label swaps: the run iterates in the permuted frame and gathers
+each state.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import SimulatorLimitError, ValidationError
-from .ir import Circuit, Single, StateVector, _apply_inplace, unitary_of
+from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector,
+                 _apply_inplace, qubit_bits, unitary_of)
 from .reduced import PermutationPlan, build_U_tilde, plan_pi_sigma
 from .synth import build_D, build_O_conv, build_oracle, reflection
 from .targets import TargetSet
@@ -89,35 +96,133 @@ def success_probability(state: StateVector, targets: TargetSet) -> float:
     return float(sum(abs(amps[x]) ** 2 for x in targets.labels))
 
 
-def _fuse(gates, amps: np.ndarray, n: int) -> list:
-    """The gate list as steps over `amps`: each maximal run of consecutive
-    Single gates becomes one (view, block) pair per window of FUSE adjacent
-    qubits it touches, and every other gate stays as it is.
+def _run_key(gate):
+    """(kind, member) of a gate that can join a multiplexor run, else None.
 
-    Single gates on different qubits commute, so a run may be regrouped by
-    window as long as each window keeps its gates in order.  A window
-    holding one gate keeps that gate.  A block acts on the middle axis of a
-    (2**lo, 2**w, rest) view of `amps`, which indexes qubits lo..lo+w-1.
+    A stage rotation is a Controlled gate whose controls are exactly the
+    qubits lo..target-1, as build_stage and build_U_tilde emit: its kind is
+    (target, mask) and its member the control value.  A PatternPhase's kind
+    is "phase" and its member the pattern.
+    """
+    if isinstance(gate, PatternPhase):
+        return "phase", gate.pattern
+    if isinstance(gate, Controlled):
+        if gate.mask + (gate.mask & -gate.mask) == 1 << gate.target:
+            return (gate.target, gate.mask), gate.value
+    return None
+
+
+def _mux(view, index, u) -> None:
+    """Block i, with entries u[r, c, i], acts on axis 2 of `view` where axis
+    1 holds the i-th entry of `index`.
+
+    The products and sums are the kernel's, so the result is the same to
+    the bit; a stacked np.matmul would loop over 2**lo tiny products when
+    the stage sits low in a wide state.  The update runs in place with two
+    temporaries, not six: a stage's slab can be many gates' worth of
+    amplitudes, and large temporaries cost more per byte to allocate.
+    """
+    a0, a1 = view[:, index, 0], view[:, index, 1]
+    t = u[0, 1] * a1
+    a1 *= u[1, 1]
+    a1 += u[1, 0] * a0
+    a0 *= u[0, 0]
+    a0 += t
+    if not isinstance(index, slice):
+        # An index array gathered copies, not views.
+        view[:, index, 0], view[:, index, 1] = a0, a1
+
+
+def _phases(amps, index, phases) -> None:
+    amps[index] *= phases
+
+
+def _run_step(run, amps: np.ndarray):
+    """One step for a run of gates with one kind and distinct members.
+
+    A stage run acts on a (2**lo, 2**w, 2, rest) view of `amps`: axis 1
+    indexes the w control qubits lo..target-1 MSB-first, axis 2 the target.
+    Its gates commute, so they are sorted by prefix, and consecutive
+    prefixes become a slice, which reads and writes through views.  A phase
+    run multiplies its labels' amplitudes; a lone phase keeps its gate.
+    Distinct members make the index entries distinct, so no entry is read
+    or written twice.
+    """
+    head = run[0]
+    if isinstance(head, PatternPhase):
+        if len(run) == 1:
+            return head
+        index = np.array([int(g.pattern, 2) for g in run])
+        return partial(_phases, amps, index, np.array([g.phase for g in run]))
+    lo = (head.mask & -head.mask).bit_length() - 1
+    w = head.target - lo
+    prefixes = sorted(((qubit_bits(g.value >> lo, w), g) for g in run),
+                      key=lambda pair: pair[0])
+    index = np.array([p for p, _ in prefixes])
+    if index[-1] - index[0] == len(index) - 1:
+        index = slice(int(index[0]), int(index[-1]) + 1)
+    view = amps.reshape(1 << lo, 1 << w, 2, -1)
+    u = np.stack([g.u for _, g in prefixes], axis=-1)[..., None]
+    return partial(_mux, view, index, u)
+
+
+def _fuse(gates, amps: np.ndarray, n: int) -> list:
+    """The gate list as steps over `amps`.
+
+    Each maximal run of consecutive Single gates becomes one (view, block)
+    pair per window of FUSE adjacent qubits it touches.  Single gates on
+    different qubits commute, so a run may be regrouped by window as long
+    as each window keeps its gates in order.  A window holding one gate
+    keeps that gate.  A block acts on the middle axis of a (2**lo, 2**w,
+    rest) view of `amps`, which indexes qubits lo..lo+w-1.
+
+    Each maximal run of consecutive gates with one `_run_key` kind and
+    distinct members becomes one `_run_step`: the gates of such a run act
+    on disjoint amplitudes, so they commute.  Every other gate stays as it
+    is.
     """
     steps: list = []
     windows: dict[int, list[Single]] = {}
+    run: list = []
+    members: set = set()
+    kind = None
     for gate in (*gates, None):
+        key = _run_key(gate)
+        if run and (key is None or key[0] != kind or key[1] in members):
+            steps.append(_run_step(run, amps))
+            run, members = [], set()
         if isinstance(gate, Single):
             windows.setdefault(gate.target // FUSE, []).append(gate)
             continue
-        for start, run in windows.items():
-            if len(run) == 1:
-                steps.append(run[0])
+        for start, window in windows.items():
+            if len(window) == 1:
+                steps.append(window[0])
                 continue
             lo = start * FUSE
             w = min(FUSE, n - lo)
             block = unitary_of(Circuit(w, tuple(Single(g.u, g.target - lo)
-                                               for g in run)))
+                                               for g in window)))
             steps.append((amps.reshape(1 << lo, 1 << w, -1), block))
         windows = {}
-        if gate is not None:
+        if key is not None:
+            kind = key[0]
+            run.append(gate)
+            members.add(key[1])
+        elif gate is not None:
             steps.append(gate)
     return steps
+
+
+def _apply_steps(steps, amps: np.ndarray, n: int) -> None:
+    """Apply `_fuse`'s steps, built over `amps`, in order."""
+    for op in steps:
+        if isinstance(op, tuple):
+            view, block = op
+            view[...] = np.matmul(block, view)
+        elif isinstance(op, partial):
+            op()
+        else:
+            _apply_inplace(amps, n, op)
 
 
 def _gather_index(plan: PermutationPlan) -> np.ndarray:
@@ -160,12 +265,7 @@ class _Run:
         self.steps = _fuse(oracle.gates + build_D(n).gates, self.amps, n)
 
     def step(self) -> None:
-        for op in self.steps:
-            if isinstance(op, tuple):
-                view, block = op
-                view[...] = np.matmul(block, view)
-            else:
-                _apply_inplace(self.amps, self.n, op)
+        _apply_steps(self.steps, self.amps, self.n)
         self.amps *= -1.0
 
     def state(self) -> StateVector:

@@ -198,16 +198,20 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = as_int(self.n, "qubit count")
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << self.n,):
-            raise ValidationError(
-                f"state on {self.n} qubits needs {1 << self.n} amplitudes")
+        # No array holds 2**64 entries, so the bound also keeps 1 << n small.
+        if not 0 <= n < 64 or amps.shape != (1 << n,):
+            raise ValidationError(f"state on {n} qubits needs 2**{n} "
+                                  f"amplitudes, got shape {amps.shape}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def basis(cls, n: int, x: int) -> "StateVector":
+        n = as_int(n, "qubit count")
         x = as_int(x, "basis state")
-        if not 0 <= x < 1 << n:
+        if n < 0 or not 0 <= x < 1 << n:
             raise ValidationError(f"basis state {x} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=complex)
         amps[x] = 1.0

@@ -29,9 +29,10 @@ class TargetSet:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"qubit count must be positive, got {self.n}")
-        labels = tuple(self.labels)
+        n = as_int(self.n, "qubit count")
+        if n < 1:
+            raise ValidationError(f"qubit count must be positive, got {n}")
+        labels = tuple(as_int(x, "target label") for x in self.labels)
         if not labels:
             raise ValidationError("empty target set")
         if len(set(labels)) != len(labels):
@@ -39,15 +40,14 @@ class TargetSet:
         if sorted(labels) != list(labels):
             raise ValidationError("target labels must be strictly increasing")
         for x in labels:
-            if not 0 <= x < (1 << self.n):
-                raise ValidationError(
-                    f"label {x} out of range for {self.n} qubits")
+            if x < 0 or x.bit_length() > n:
+                raise ValidationError(f"label {x} out of range for {n} qubits")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_labels(cls, n: int, labels) -> "TargetSet":
         """Build from integers or MSB-first bitstrings, in any order."""
-        n = as_int(n, "qubit count")
         ints = []
         for x in labels:
             if isinstance(x, str):

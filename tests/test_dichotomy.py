@@ -138,6 +138,23 @@ def test_errors():
         conditional_prob(table, 1, 0, 1)
 
 
+@pytest.mark.parametrize("n, labels", [
+    (3, (0.5, 1.0)), (3, (True,)), (3, (1, 2.0)),
+    (True, (0,)), (3.0, (1,)), ("3", (1,)), (-1, (0,)),
+])
+def test_target_set_rejects_non_integers(n, labels):
+    with pytest.raises(ValidationError):
+        TargetSet(n, labels)
+
+
+def test_target_set_stores_ints():
+    targets = TargetSet(np.int64(3), (np.int64(1), 5))
+    assert type(targets.n) is int
+    assert [type(x) for x in targets.labels] == [int, int]
+    with pytest.raises(ValidationError, match="qubit count"):
+        TargetSet.from_labels(2.0, ["01"])
+
+
 def test_bitstrings_are_msb_first():
     targets = TargetSet.from_labels(3, ["100"])
     assert targets.labels == (4,)

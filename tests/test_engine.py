@@ -1,15 +1,21 @@
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
-from conftest import random_target_set, state_of_targets, target_sets
+from conftest import (random_target_set, random_unitary_2x2, state_of_targets,
+                      target_sets, wide_target_set)
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grover_forge import (SimulatorLimitError, TargetSet, ValidationError,
                           analytic_schedule, apply_circuit, build_D,
                           build_O_conv, build_oracle, build_P, build_pi_sigma,
-                          build_U_tilde, grover_run, grover_states,
+                          build_U, build_U_tilde, grover_run, grover_states,
                           success_probability, uniform_state, unitary_of)
 from grover_forge import engine, reduced
-from grover_forge.ir import H, Circuit, PatternPhase, Single, StateVector
+from grover_forge.ir import (H, X, Circuit, Controlled, PatternPhase, Single,
+                             StateVector, _apply_inplace, qubit_bits)
 from grover_forge.synth import reflection
 
 
@@ -185,6 +191,7 @@ def assert_fused_matches_unfused(targets):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(target_sets(2, 8, max_size=12))
 @example(TargetSet(8, (0, 77, 200, 255)))
+@example(wide_target_set(8, 8, 60))
 def test_fused_run_matches_unfused_drawn(targets):
     assert_fused_matches_unfused(targets)
 
@@ -212,6 +219,97 @@ def test_fuse_windows():
     x = Circuit(3, (PatternPhase("000", -1), Single(H, 1),
                     PatternPhase("111", -1)))
     assert engine._fuse(x.gates, amps[:8], 3) == list(x.gates)
+
+
+def run_length(op):
+    """Gates in a run step: its index is an array or, for consecutive
+    prefixes, a slice."""
+    index = op.args[1]
+    if isinstance(index, slice):
+        return index.stop - index.start
+    return len(index)
+
+
+def step_views(steps):
+    """The array each fused step writes through."""
+    return [op[0] if isinstance(op, tuple) else op.args[0]
+            for op in steps if isinstance(op, (tuple, partial))]
+
+
+def test_fuse_stage_and_phase_runs():
+    targets = wide_target_set(9, 7, 40)
+    n = targets.n
+    amps = uniform_state(n).amplitudes.copy()
+    stages = Counter(g.target for g in build_U(targets).gates
+                     if isinstance(g, Controlled))
+    assert sorted(stages) == list(range(1, n))
+    # U^dagger, P, U: one step per stage, each holding every rotation of
+    # its stage; stage 1 is a lone Single on each side of P.
+    steps = engine._fuse(build_oracle(targets).gates, amps, n)
+    kinds = [op.func.__name__ if isinstance(op, partial) else
+             type(op).__name__ for op in steps]
+    assert kinds == ["_mux"] * (n - 1) + ["Single", "PatternPhase",
+                                         "Single"] + ["_mux"] * (n - 1)
+    mux = [op for op in steps if isinstance(op, partial)]
+    order = list(range(n - 1, 0, -1)) + list(range(1, n))
+    assert [run_length(op) for op in mux] == [stages[t] for t in order]
+    assert all(np.shares_memory(v, amps) for v in step_views(steps))
+    # O_conv's phases are one step over the target labels.
+    (phases,) = engine._fuse(build_O_conv(targets).gates, amps, n)
+    assert phases.func is engine._phases
+    assert np.array_equal(phases.args[1], targets.labels)
+    assert phases.args[0] is amps
+
+
+def test_fuse_run_boundaries():
+    n = 3
+    amps = uniform_state(n).amplitudes.copy()
+    gates = (Controlled(0b011, 0b001, X, 2), Controlled(0b011, 0b010, X, 2),
+             Controlled(0b011, 0b001, X, 2),   # repeated value: new run
+             Controlled(0b010, 0b000, X, 2),   # new mask, lo = 1
+             Controlled(0b001, 0b001, X, 2),   # controls not next to target
+             PatternPhase("000", -1), PatternPhase("011", 1j),
+             PatternPhase("000", -1))          # repeated pattern: lone gate
+    steps = engine._fuse(gates, amps, n)
+    assert [run_length(op) if isinstance(op, partial) else op
+            for op in steps] == [2, 1, 1, gates[4], 2, gates[7]]
+    # Prefixes 2 and 1 (MSB-first) sort into one slice.
+    assert steps[0].args[1] == slice(1, 3)
+    assert steps[2].args[0].shape == (2, 2, 2, 1)
+    assert np.array_equal(steps[4].args[1], [0, 3])   # the phase labels
+    assert all(np.shares_memory(v, amps) for v in step_views(steps))
+    want = amps.copy()
+    for gate in gates:
+        _apply_inplace(want, n, gate)
+    engine._apply_steps(steps, amps, n)
+    assert np.abs(amps - want).max() <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_run_steps_match_kernel(data):
+    """A stage run (controls lo..target-1, lo > 0 as in U_tilde) and a phase
+    run each become one step that agrees with the kernel gate by gate."""
+    n = data.draw(st.integers(2, 9), label="n")
+    target = data.draw(st.integers(1, n - 1), label="target")
+    lo = data.draw(st.integers(0, target - 1), label="lo")
+    w = target - lo
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    prefixes = rng.permutation(1 << w)[:data.draw(st.integers(1, 1 << w))]
+    stage = [Controlled((1 << target) - (1 << lo), qubit_bits(int(p), w) << lo,
+                        random_unitary_2x2(rng), target) for p in prefixes]
+    labels = rng.permutation(1 << n)[:data.draw(st.integers(2, 1 << n))]
+    phases = [PatternPhase(format(int(x), f"0{n}b"),
+                           np.exp(2j * np.pi * rng.random())) for x in labels]
+    for run in (stage, phases):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = amps.copy()
+        for gate in run:
+            _apply_inplace(want, n, gate)
+        steps = engine._fuse(run, amps, n)
+        assert len(steps) == 1 and isinstance(steps[0], partial)
+        engine._apply_steps(steps, amps, n)
+        assert np.abs(amps - want).max() <= 1e-12
 
 
 def assert_gather_is_wrap(targets, mode):

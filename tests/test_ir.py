@@ -107,6 +107,19 @@ def test_basis_range_checked():
             StateVector.basis(3, x)
 
 
+@pytest.mark.parametrize("n, size", [
+    (2.5, 4), (True, 2), ("2", 4), (-1, 4), (64, 4)])
+def test_state_vector_qubit_count_checked(n, size):
+    with pytest.raises(ValidationError, match="qubit count|amplitudes"):
+        StateVector(n, np.zeros(size))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", -1])
+def test_basis_qubit_count_checked(n):
+    with pytest.raises(ValidationError):
+        StateVector.basis(n, 0)
+
+
 _U = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
