@@ -93,12 +93,13 @@ def _cmd_synth(args) -> int:
     else:
         circuit = build_O_conv(targets)
         bound = complexity.bound_O_conv(targets.n, targets.size)
-    # Lowering may refuse the circuit, so it runs before any file is written.
+    # Lowering and saving may refuse the circuit, so they run before any
+    # other file is written.
     lowered = lower(circuit) if args.qasm else None
+    save_circuit(circuit, args.out)
     if plan is not None:
         with open(args.out + ".plan.json", "w", encoding="utf-8") as fh:
             json.dump(plan.to_json(), fh, indent=1)
-    save_circuit(circuit, args.out)
     cost = complexity.count(circuit)
     line = f"{args.variant}: {len(circuit)} gates, counted cost {cost}"
     if bound is not None:
@@ -127,6 +128,7 @@ def _with_amplitudes(text: str, amps) -> str:
 
 def _cmd_simulate(args) -> int:
     targets = _load_targets(args.targets)
+    engine.check_qubits(targets.n)
     schedule = engine.analytic_schedule(targets.n, targets.size)
     if args.k == "auto":
         k = schedule.k_star

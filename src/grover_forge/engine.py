@@ -5,16 +5,17 @@ phase flip, which produces the negated operator; every application
 multiplies a compensating -1 into the state so all variants return states
 in the same sign convention and can be compared entrywise.
 
-A run pays once for two rewrites of its circuits.  Each run of consecutive
-`Single` gates becomes one dense block per window of FUSE adjacent qubits,
-built by `unitary_of`, so the kernel still defines what every gate means.
-Each synthesis stage, one rotation on its target for each populated prefix
-of the qubits before it, becomes one multiplexor step: every 2x2 block of
-the stage is applied at once, at the prefixes the blocks control, with the
-kernel's own products.  A run of pattern phases becomes one multiply at its
-labels.  The reduced variant's pi_sigma becomes one index array, read off
-its plan's label swaps: the run iterates in the permuted frame and gathers
-each state.
+A run compiles its circuits once into steps over one amplitude array,
+each a call with no arguments.  Each run of consecutive `Single` gates
+becomes one dense block per window of FUSE adjacent qubits, built by
+`unitary_of`, so the kernel still defines what every gate means.  Each
+synthesis stage, one rotation on its target for each populated prefix of
+the qubits before it, becomes one multiplexor step: every 2x2 block of the
+stage is applied at once with the kernel's own products.  A run of one or
+more pattern phases becomes one multiply at its labels.  Any other gate,
+a lone `Single` in its window too, is one kernel call.  The reduced
+variant's pi_sigma becomes one index array, read off its plan's label
+swaps: the run iterates in the permuted frame and gathers each state.
 """
 from __future__ import annotations
 
@@ -41,15 +42,18 @@ FUSE = 4
 MAX_ITERATIONS = 100_000
 
 
-def _max_qubits() -> int:
+def check_qubits(n: int) -> None:
+    """Reject n above the qubit limit before anything is built for it."""
     raw = os.environ.get("GROVER_FORGE_MAX_QUBITS")
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
     try:
-        return int(raw)
+        limit = DEFAULT_MAX_QUBITS if raw is None else int(raw)
     except ValueError as exc:
         raise ValidationError(
             f"bad GROVER_FORGE_MAX_QUBITS value {raw!r}") from exc
+    if n > limit:
+        raise SimulatorLimitError(
+            f"n={n} exceeds simulator limit {limit} "
+            "(set GROVER_FORGE_MAX_QUBITS to override)")
 
 
 def check_iterations(k: int) -> None:
@@ -81,7 +85,11 @@ def analytic_schedule(n: int, s_size: int) -> AnalyticSchedule:
     n_size = 1 << n
     if not 1 <= s_size <= n_size:
         raise ValidationError(f"target count {s_size} out of range for n={n}")
-    phi = math.asin(math.sqrt(s_size / n_size))
+    ratio = s_size / n_size
+    if not ratio:
+        raise ValidationError(f"|S|/2**n underflows to 0 at n={n}: give the "
+                              "iteration count (compare --k)")
+    phi = math.asin(math.sqrt(ratio))
     # The tiny slack absorbs float noise when pi/(4 phi) lands exactly on
     # an integer, e.g. |S|/N = 1/2.
     k_star = math.floor(math.pi / (4 * phi) + 1e-9) if s_size < n_size else 0
@@ -137,6 +145,11 @@ def _phases(amps, index, phases) -> None:
     amps[index] *= phases
 
 
+def _block(view, block) -> None:
+    """A fused window: `block` acts on axis 1 of `view`."""
+    view[...] = np.matmul(block, view)
+
+
 def _run_step(run, amps: np.ndarray):
     """One step for a run of gates with one kind and distinct members.
 
@@ -144,14 +157,12 @@ def _run_step(run, amps: np.ndarray):
     indexes the w control qubits lo..target-1 MSB-first, axis 2 the target.
     Its gates commute, so they are sorted by prefix, and consecutive
     prefixes become a slice, which reads and writes through views.  A phase
-    run multiplies its labels' amplitudes; a lone phase keeps its gate.
+    run, of one gate or more, multiplies its labels' amplitudes.
     Distinct members make the index entries distinct, so no entry is read
     or written twice.
     """
     head = run[0]
     if isinstance(head, PatternPhase):
-        if len(run) == 1:
-            return head
         index = np.array([int(g.pattern, 2) for g in run])
         return partial(_phases, amps, index, np.array([g.phase for g in run]))
     lo = (head.mask & -head.mask).bit_length() - 1
@@ -166,22 +177,22 @@ def _run_step(run, amps: np.ndarray):
     return partial(_mux, view, index, u)
 
 
-def _fuse(gates, amps: np.ndarray, n: int) -> list:
-    """The gate list as steps over `amps`.
+def _fuse(gates, amps: np.ndarray, n: int) -> list[partial]:
+    """The gate list as steps over `amps`, each a call with no arguments.
 
-    Each maximal run of consecutive Single gates becomes one (view, block)
-    pair per window of FUSE adjacent qubits it touches.  Single gates on
+    Each maximal run of consecutive Single gates becomes one `_block` step
+    per window of FUSE adjacent qubits it touches.  Single gates on
     different qubits commute, so a run may be regrouped by window as long
-    as each window keeps its gates in order.  A window holding one gate
-    keeps that gate.  A block acts on the middle axis of a (2**lo, 2**w,
-    rest) view of `amps`, which indexes qubits lo..lo+w-1.
+    as each window keeps its gates in order.  A block acts on the middle
+    axis of a (2**lo, 2**w, rest) view of `amps`, which indexes qubits
+    lo..lo+w-1.
 
     Each maximal run of consecutive gates with one `_run_key` kind and
     distinct members becomes one `_run_step`: the gates of such a run act
-    on disjoint amplitudes, so they commute.  Every other gate stays as it
-    is.
+    on disjoint amplitudes, so they commute.  A window holding one gate,
+    and every other gate, is a kernel call.
     """
-    steps: list = []
+    steps: list[partial] = []
     windows: dict[int, list[Single]] = {}
     run: list = []
     members: set = set()
@@ -196,33 +207,22 @@ def _fuse(gates, amps: np.ndarray, n: int) -> list:
             continue
         for start, window in windows.items():
             if len(window) == 1:
-                steps.append(window[0])
+                steps.append(partial(_apply_inplace, amps, n, window[0]))
                 continue
             lo = start * FUSE
             w = min(FUSE, n - lo)
             block = unitary_of(Circuit(w, tuple(Single(g.u, g.target - lo)
                                                for g in window)))
-            steps.append((amps.reshape(1 << lo, 1 << w, -1), block))
+            steps.append(partial(_block, amps.reshape(1 << lo, 1 << w, -1),
+                                 block))
         windows = {}
         if key is not None:
             kind = key[0]
             run.append(gate)
             members.add(key[1])
         elif gate is not None:
-            steps.append(gate)
+            steps.append(partial(_apply_inplace, amps, n, gate))
     return steps
-
-
-def _apply_steps(steps, amps: np.ndarray, n: int) -> None:
-    """Apply `_fuse`'s steps, built over `amps`, in order."""
-    for op in steps:
-        if isinstance(op, tuple):
-            view, block = op
-            view[...] = np.matmul(block, view)
-        elif isinstance(op, partial):
-            op()
-        else:
-            _apply_inplace(amps, n, op)
 
 
 def _gather_index(plan: PermutationPlan) -> np.ndarray:
@@ -242,11 +242,7 @@ class _Run:
 
     def __init__(self, targets: TargetSet, variant: str, k: int,
                  mode: str = "auto"):
-        limit = _max_qubits()
-        if targets.n > limit:
-            raise SimulatorLimitError(
-                f"n={targets.n} exceeds simulator limit {limit} "
-                "(set GROVER_FORGE_MAX_QUBITS to override)")
+        check_qubits(targets.n)
         check_iterations(k)
         if variant not in VARIANTS:
             raise ValidationError(f"unknown variant {variant!r}")
@@ -260,12 +256,13 @@ class _Run:
         else:
             oracle = reflection(build_U_tilde(targets.size, n))
             self.index = _gather_index(plan_pi_sigma(targets, mode))
-        # pi_sigma^dagger, a basis permutation, leaves the uniform start as is.
-        self.amps = uniform_state(n).amplitudes.copy()
+        # pi_sigma^dagger leaves the uniform start, a fresh array, as is.
+        self.amps = uniform_state(n).amplitudes
         self.steps = _fuse(oracle.gates + build_D(n).gates, self.amps, n)
 
     def step(self) -> None:
-        _apply_steps(self.steps, self.amps, self.n)
+        for step in self.steps:
+            step()
         self.amps *= -1.0
 
     def state(self) -> StateVector:

@@ -211,7 +211,8 @@ class StateVector:
     def basis(cls, n: int, x: int) -> "StateVector":
         n = as_int(n, "qubit count")
         x = as_int(x, "basis state")
-        if n < 0 or not 0 <= x < 1 << n:
+        # As in __post_init__, n < 64 also keeps 1 << n small.
+        if not 0 <= n < 64 or not 0 <= x < 1 << n:
             raise ValidationError(f"basis state {x} out of range for n={n}")
         amps = np.zeros(1 << n, dtype=complex)
         amps[x] = 1.0
@@ -305,6 +306,11 @@ def ry_from_probs(p0, p1) -> np.ndarray:
 
 # -- JSON circuit format ----------------------------------------------------
 
+# Control pairs a circuit file may hold.  Each is about 30 bytes of JSON,
+# so a file stays near 30 MB; a wide target set's U holds about n^2/2.
+MAX_FILE_CONTROLS = 1 << 20
+
+
 def _block_to_json(u: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in u.reshape(-1)]
 
@@ -315,6 +321,13 @@ def _block_from_json(entries) -> np.ndarray:
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
+    """The circuit file's contents.  Above MAX_FILE_CONTROLS control pairs,
+    summed first, ValidationError is raised before any entry is built."""
+    pairs = sum(g.mask.bit_count() for g in circuit.gates
+                if isinstance(g, Controlled))
+    if pairs > MAX_FILE_CONTROLS:
+        raise ValidationError(f"circuit file would hold {pairs} control "
+                              f"pairs, more than {MAX_FILE_CONTROLS}")
     gates = []
     for gate in circuit.gates:
         if isinstance(gate, Single):
@@ -351,8 +364,9 @@ def circuit_from_json(data: dict) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
+    data = circuit_to_json(circuit)   # may refuse: before the file opens
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=1)
+        json.dump(data, fh, indent=1)
         fh.write("\n")
 
 

@@ -88,7 +88,7 @@ def test_criterion_3_permutation_example():
             assert len(gate.controls) == 2
             assert np.array_equal(gate.u, x)
         mat = unitary_of(circuit)
-        assert np.allclose(mat, np.round(mat.real))
+        assert np.allclose(mat, np.round(mat.real), rtol=0)
         assert mat[0b100, 0b011] == 1
         for fixed in (0b000, 0b001, 0b010):
             assert mat[fixed, fixed] == 1

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 from unittest import mock
 
 import numpy as np
@@ -102,7 +103,7 @@ def test_simulate_amplitudes(target_file, capsys):
                  "conventional", "--k", "0", "--json", "--amplitudes"]) == 0
     report = json.loads(capsys.readouterr().out)
     amps = np.array([complex(re, im) for re, im in report["amplitudes"]])
-    assert np.allclose(amps, np.full(8, 8 ** -0.5))
+    assert np.allclose(amps, np.full(8, 8 ** -0.5), rtol=0)
 
 
 def simulate_stdout(argv):
@@ -170,6 +171,39 @@ def test_simulate_qubit_limit(tmp_path, monkeypatch, capsys):
         assert main(["simulate", "--targets", str(path),
                      "--variant", "conventional", "--k", k]) == 3
         assert "exceeds simulator limit" in capsys.readouterr().err
+
+
+def wide_file(tmp_path, n):
+    path = tmp_path / f"wide{n}.json"
+    path.write_text(json.dumps({"n": n, "targets": [0, 5, 2 ** n - 1]}))
+    return str(path)
+
+
+def test_wide_set_exit_codes(tmp_path, capsys):
+    # |S|/2^n underflows at n=1100: simulate stops at the qubit limit,
+    # compare asks for --k, and with --k the report is counted.
+    path = wide_file(tmp_path, 1100)
+    assert main(["simulate", "--targets", path, "--variant", "modified"]) == 3
+    assert "exceeds simulator limit" in capsys.readouterr().err
+    assert main(["compare", "--targets", path]) == 2
+    captured = capsys.readouterr()
+    assert "compare --k" in captured.err and captured.out == ""
+    assert main(["compare", "--targets", path, "--k", "3"]) == 0
+    assert capsys.readouterr().out.startswith("n=1100 |S|=3 l=2 k=3\n")
+
+
+@pytest.mark.parametrize("variant", ["u", "pi-sigma"])
+def test_synth_file_bound_writes_nothing(tmp_path, capsys, variant):
+    # U of {0, 5, 2^n - 1} holds about n^2/2 control pairs: 8 million at
+    # n=4000, refused before any JSON is built, the plan file included.
+    out = tmp_path / "c.json"
+    started = time.perf_counter()
+    assert main(["synth", "--targets", wide_file(tmp_path, 4000),
+                 "--variant", variant, "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 10
+    captured = capsys.readouterr()
+    assert "control pairs" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [tmp_path / "wide4000.json"]
 
 
 def test_paper_mode_failure_exit_code(tmp_path, capsys):

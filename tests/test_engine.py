@@ -21,11 +21,11 @@ from grover_forge.synth import reflection
 
 def test_uniform_state():
     state = uniform_state(3)
-    assert np.allclose(state.amplitudes, np.full(8, 8 ** -0.5))
+    assert np.allclose(state.amplitudes, np.full(8, 8 ** -0.5), rtol=0)
 
 
 def test_P_matrix():
-    assert np.allclose(unitary_of(build_P(2)), np.diag([-1, 1, 1, 1]))
+    assert np.allclose(unitary_of(build_P(2)), np.diag([-1, 1, 1, 1]), rtol=0)
 
 
 def test_D_is_negated_inversion_about_mean():
@@ -39,7 +39,7 @@ def test_D_is_negated_inversion_about_mean():
 def test_O_conv_matrix(example_targets):
     mat = unitary_of(build_O_conv(example_targets))
     want = np.diag([-1, -1, -1, 1, -1, 1, 1, 1]).astype(complex)
-    assert np.allclose(mat, want)
+    assert np.allclose(mat, want, rtol=0)
 
 
 def test_analytic_schedule_values():
@@ -54,6 +54,23 @@ def test_analytic_schedule_values():
         analytic_schedule(3, 0)
     with pytest.raises(ValidationError):
         analytic_schedule(3, 9)
+
+
+@pytest.mark.parametrize("n", [*range(1070, 1081), 5000])
+def test_analytic_schedule_wide_sets(n):
+    # |S|/2^n underflows to 0 for these n at small |S|: a ValidationError
+    # naming compare --k, never a ZeroDivisionError.
+    for s_size in (1, 3, 5, 2 ** 40 + 1):
+        try:
+            sched = analytic_schedule(n, s_size)
+        except ValidationError as exc:
+            # 2**-1074 is the smallest float, so only wider sets underflow.
+            assert n > 1074 and "compare --k" in str(exc)
+        else:
+            assert sched.phi > 0 and sched.k_star > 0
+    if n > 1076:
+        with pytest.raises(ValidationError, match="underflows"):
+            analytic_schedule(n, 3)
 
 
 def test_success_probability(example_targets):
@@ -200,25 +217,36 @@ def test_fused_run_matches_unfused_n9():
     assert_fused_matches_unfused(TargetSet(9, (3, 100, 257, 511)))
 
 
+def step_names(steps):
+    """The function each step calls; every step is a call with no
+    arguments."""
+    assert all(isinstance(op, partial) and not op.keywords for op in steps)
+    return [op.func.__name__ for op in steps]
+
+
 def test_fuse_windows():
     # n=9: two full windows of FUSE=4 qubits and a one-qubit remainder,
-    # whose single gate is left as it is.
+    # whose single gate is a kernel call; the zero flip is a phase run.
     assert engine.FUSE == 4
     n = 9
     amps = uniform_state(n).amplitudes.copy()
     d = build_D(n)
     steps = engine._fuse(d.gates, amps, n)
-    kinds = [type(op).__name__ for op in steps]
-    assert kinds == ["tuple", "tuple", "Single", "PatternPhase",
-                     "tuple", "tuple", "Single"]
-    view, block = steps[1]
+    assert step_names(steps) == ["_block", "_block", "_apply_inplace",
+                                 "_phases", "_block", "_block",
+                                 "_apply_inplace"]
+    view, block = steps[1].args
     assert view.shape == (16, 16, 2) and np.shares_memory(view, amps)
     want = unitary_of(Circuit(4, tuple(Single(H, q) for q in range(4))))
     assert np.array_equal(block, want)
+    assert steps[2].args[0] is amps and steps[2].args[1:] == (n, d.gates[8])
     # A lone Single keeps its place between the gates around it.
     x = Circuit(3, (PatternPhase("000", -1), Single(H, 1),
                     PatternPhase("111", -1)))
-    assert engine._fuse(x.gates, amps[:8], 3) == list(x.gates)
+    steps = engine._fuse(x.gates, amps[:8], 3)
+    assert step_names(steps) == ["_phases", "_apply_inplace", "_phases"]
+    assert steps[1].args[2] is x.gates[1]
+    assert [list(op.args[1]) for op in steps[::2]] == [[0], [7]]
 
 
 def run_length(op):
@@ -231,9 +259,8 @@ def run_length(op):
 
 
 def step_views(steps):
-    """The array each fused step writes through."""
-    return [op[0] if isinstance(op, tuple) else op.args[0]
-            for op in steps if isinstance(op, (tuple, partial))]
+    """The array each step writes through."""
+    return [op.args[0] for op in steps]
 
 
 def test_fuse_stage_and_phase_runs():
@@ -246,11 +273,9 @@ def test_fuse_stage_and_phase_runs():
     # U^dagger, P, U: one step per stage, each holding every rotation of
     # its stage; stage 1 is a lone Single on each side of P.
     steps = engine._fuse(build_oracle(targets).gates, amps, n)
-    kinds = [op.func.__name__ if isinstance(op, partial) else
-             type(op).__name__ for op in steps]
-    assert kinds == ["_mux"] * (n - 1) + ["Single", "PatternPhase",
-                                         "Single"] + ["_mux"] * (n - 1)
-    mux = [op for op in steps if isinstance(op, partial)]
+    assert step_names(steps) == (["_mux"] * (n - 1) + [
+        "_apply_inplace", "_phases", "_apply_inplace"] + ["_mux"] * (n - 1))
+    mux = [op for op in steps if op.func is engine._mux]
     order = list(range(n - 1, 0, -1)) + list(range(1, n))
     assert [run_length(op) for op in mux] == [stages[t] for t in order]
     assert all(np.shares_memory(v, amps) for v in step_views(steps))
@@ -259,6 +284,12 @@ def test_fuse_stage_and_phase_runs():
     assert phases.func is engine._phases
     assert np.array_equal(phases.args[1], targets.labels)
     assert phases.args[0] is amps
+    # Every variant's run is made of calls over its own state.
+    for variant in engine.VARIANTS:
+        run = engine._Run(targets, variant, 1)
+        step_names(run.steps)
+        assert all(np.shares_memory(v, run.amps)
+                   for v in step_views(run.steps))
 
 
 def test_fuse_run_boundaries():
@@ -269,19 +300,23 @@ def test_fuse_run_boundaries():
              Controlled(0b010, 0b000, X, 2),   # new mask, lo = 1
              Controlled(0b001, 0b001, X, 2),   # controls not next to target
              PatternPhase("000", -1), PatternPhase("011", 1j),
-             PatternPhase("000", -1))          # repeated pattern: lone gate
+             PatternPhase("000", -1))          # repeated pattern: new run
     steps = engine._fuse(gates, amps, n)
-    assert [run_length(op) if isinstance(op, partial) else op
-            for op in steps] == [2, 1, 1, gates[4], 2, gates[7]]
+    assert step_names(steps) == ["_mux", "_mux", "_mux", "_apply_inplace",
+                                 "_phases", "_phases"]
+    assert [op.args[2] if op.func is _apply_inplace else run_length(op)
+            for op in steps] == [2, 1, 1, gates[4], 2, 1]
     # Prefixes 2 and 1 (MSB-first) sort into one slice.
     assert steps[0].args[1] == slice(1, 3)
     assert steps[2].args[0].shape == (2, 2, 2, 1)
     assert np.array_equal(steps[4].args[1], [0, 3])   # the phase labels
+    assert np.array_equal(steps[5].args[1], [0])
     assert all(np.shares_memory(v, amps) for v in step_views(steps))
     want = amps.copy()
     for gate in gates:
         _apply_inplace(want, n, gate)
-    engine._apply_steps(steps, amps, n)
+    for step in steps:
+        step()
     assert np.abs(amps - want).max() <= 1e-12
 
 
@@ -289,7 +324,8 @@ def test_fuse_run_boundaries():
 @given(st.data())
 def test_run_steps_match_kernel(data):
     """A stage run (controls lo..target-1, lo > 0 as in U_tilde) and a phase
-    run each become one step that agrees with the kernel gate by gate."""
+    run, down to one gate, each become one step that agrees with the kernel
+    gate by gate."""
     n = data.draw(st.integers(2, 9), label="n")
     target = data.draw(st.integers(1, n - 1), label="target")
     lo = data.draw(st.integers(0, target - 1), label="lo")
@@ -298,7 +334,7 @@ def test_run_steps_match_kernel(data):
     prefixes = rng.permutation(1 << w)[:data.draw(st.integers(1, 1 << w))]
     stage = [Controlled((1 << target) - (1 << lo), qubit_bits(int(p), w) << lo,
                         random_unitary_2x2(rng), target) for p in prefixes]
-    labels = rng.permutation(1 << n)[:data.draw(st.integers(2, 1 << n))]
+    labels = rng.permutation(1 << n)[:data.draw(st.integers(1, 1 << n))]
     phases = [PatternPhase(format(int(x), f"0{n}b"),
                            np.exp(2j * np.pi * rng.random())) for x in labels]
     for run in (stage, phases):
@@ -306,9 +342,9 @@ def test_run_steps_match_kernel(data):
         want = amps.copy()
         for gate in run:
             _apply_inplace(want, n, gate)
-        steps = engine._fuse(run, amps, n)
-        assert len(steps) == 1 and isinstance(steps[0], partial)
-        engine._apply_steps(steps, amps, n)
+        (step,) = engine._fuse(run, amps, n)
+        assert step.func in (engine._mux, engine._phases)
+        step()
         assert np.abs(amps - want).max() <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 from pathlib import Path
 
@@ -17,20 +18,20 @@ from grover_forge.ir import H, X
 
 
 def test_ry_identity():
-    assert np.allclose(ry_from_probs(1, 0), np.eye(2))
+    assert np.allclose(ry_from_probs(1, 0), np.eye(2), rtol=0)
 
 
 def test_ry_paper_value():
     got = ry_from_probs(0.75, 0.25)
     sy = np.array([[0, -1j], [1j, 0]])
     want = 0.5 * (np.sqrt(3) * np.eye(2) - 1j * sy)
-    assert np.allclose(got, want, atol=1e-15)
+    assert np.allclose(got, want, atol=1e-15, rtol=0)
 
 
 def test_ry_half_matches_hadamard_on_zero():
     v = ry_from_probs(0.5, 0.5)
     zero = np.array([1, 0], dtype=complex)
-    assert np.allclose(v @ zero, H @ zero, atol=1e-15)
+    assert np.allclose(v @ zero, H @ zero, atol=1e-15, rtol=0)
 
 
 def test_ry_validation():
@@ -120,6 +121,12 @@ def test_basis_qubit_count_checked(n):
         StateVector.basis(n, 0)
 
 
+@pytest.mark.parametrize("n, x", [(64, 0), (70, 0), (200, 5)])
+def test_basis_refuses_64_qubits_before_allocating(n, x):
+    with pytest.raises(ValidationError, match="out of range"):
+        StateVector.basis(n, x)
+
+
 _U = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 
 
@@ -164,6 +171,18 @@ def test_one_block_comparison_in_package():
         assert "allclose" not in text and "isclose" not in text, path.name
 
 
+def test_test_comparisons_are_absolute():
+    # np.allclose's default rtol=1e-5 would turn a stated atol=1e-12 into a
+    # 1e-5 check, so every call in the tests passes rtol=0.
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "allclose"):
+                rtol = [k.value for k in node.keywords if k.arg == "rtol"]
+                assert [getattr(v, "value", None) for v in rtol] == [0], \
+                    f"{path.name}:{node.lineno}"
+
+
 def test_apply_x_sets_bit():
     state = apply(StateVector.basis(3, 0), Single(X, 1))
     assert np.argmax(np.abs(state.amplitudes)) == 0b010
@@ -175,7 +194,7 @@ def test_pattern_phase_subtracts_component():
     state = apply(uniform, PatternPhase("000", -1))
     want = uniform.amplitudes.copy()
     want[0] -= 2 * 8 ** -0.5
-    assert np.allclose(state.amplitudes, want, atol=1e-15)
+    assert np.allclose(state.amplitudes, want, atol=1e-15, rtol=0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -206,7 +225,7 @@ def test_apply_matches_dense_oracle(seed):
     for gate in gates:
         got = apply(StateVector(n, amps), gate).amplitudes
         want = dense_gate_matrix(gate, n) @ amps
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
 def test_apply_norm_preserving_and_linear():
@@ -222,16 +241,16 @@ def test_apply_norm_preserving_and_linear():
     combined = apply(StateVector(n, a * s1 + b * s2), gate).amplitudes
     parts = (a * apply(StateVector(n, s1), gate).amplitudes
              + b * apply(StateVector(n, s2), gate).amplitudes)
-    assert np.allclose(combined, parts, atol=1e-12)
+    assert np.allclose(combined, parts, atol=1e-12, rtol=0)
 
 
 def test_unitary_of_empty_is_identity():
-    assert np.allclose(unitary_of(Circuit(3, ())), np.eye(8))
+    assert np.allclose(unitary_of(Circuit(3, ())), np.eye(8), rtol=0)
 
 
 def test_unitary_of_zero_flip():
     mat = unitary_of(Circuit(2, (PatternPhase("00", -1),)))
-    assert np.allclose(mat, np.diag([-1, 1, 1, 1]))
+    assert np.allclose(mat, np.diag([-1, 1, 1, 1]), rtol=0)
 
 
 def test_unitary_of_matches_matrix_product():
@@ -244,7 +263,7 @@ def test_unitary_of_matches_matrix_product():
     product = np.eye(8, dtype=complex)
     for gate in gates:
         product = dense_gate_matrix(gate, n) @ product
-    assert np.allclose(unitary_of(circuit), product, atol=1e-12)
+    assert np.allclose(unitary_of(circuit), product, atol=1e-12, rtol=0)
 
     n = 5
     gates = []
@@ -261,7 +280,7 @@ def test_unitary_of_matches_matrix_product():
     for gate in gates:
         product = dense_gate_matrix(gate, n) @ product
     assert np.allclose(unitary_of(Circuit(n, tuple(gates))), product,
-                       atol=1e-12)
+                       atol=1e-12, rtol=0)
 
 
 def test_unitary_of_refuses_large_n():
@@ -276,7 +295,7 @@ def test_dagger_inverts():
                                                 random_unitary_2x2(rng), 2),
                           PatternPhase("110", 1j)))
     mat = unitary_of(circuit) @ unitary_of(circuit.dagger())
-    assert np.allclose(mat, np.eye(8), atol=1e-12)
+    assert np.allclose(mat, np.eye(8), atol=1e-12, rtol=0)
 
 
 def test_json_round_trip_bit_exact():

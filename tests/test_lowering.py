@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           ValidationError, unitary_of)
 from grover_forge.ir import H, X
-from grover_forge.lowering import (MAX_LOWERED_CNOTS, _ry, is_cnot, lower,
-                                   zyz_angles)
+from grover_forge.lowering import (MAX_LOWERED_CNOTS, _ry, _rz, is_cnot,
+                                   lower, zyz_angles)
 from grover_forge.synth import build_stage
 from grover_forge.dichotomy import build_prefix_table
 from grover_forge.targets import TargetSet
@@ -24,14 +24,29 @@ def assert_equivalent(original, lowered, atol=1e-9):
     assert np.abs(phase_align(b, a) - a).max() < atol
 
 
+def zyz_product(u):
+    """u rebuilt from its zyz_angles, with an independent Rz."""
+    alpha, beta, gamma, delta = zyz_angles(u)
+    rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
+    return np.exp(1j * alpha) * rz(beta) @ _ry(gamma) @ rz(delta)
+
+
 def test_zyz_reconstructs():
     rng = np.random.default_rng(0)
     for _ in range(20):
         u = random_unitary_2x2(rng)
-        alpha, beta, gamma, delta = zyz_angles(u)
-        rz = lambda t: np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)])
-        rec = np.exp(1j * alpha) * rz(beta) @ _ry(gamma) @ rz(delta)
-        assert np.allclose(rec, u, atol=1e-10)
+        assert np.allclose(zyz_product(u), u, atol=1e-10, rtol=0)
+
+
+@pytest.mark.parametrize("theta", [0.7, -2.9, np.pi])
+@pytest.mark.parametrize("flip", [False, True])
+def test_zyz_diagonal_and_antidiagonal(theta, flip):
+    # Rz(theta) and X Rz(theta) take the branches where Ry's angle is 0 or
+    # pi and delta is 0, as every lowered phase rotation does.
+    u = X @ _rz(theta) if flip else _rz(theta)
+    _, _, gamma, delta = zyz_angles(u)
+    assert delta == 0.0 and gamma == (np.pi if flip else 0.0)
+    assert np.allclose(zyz_product(u), u, atol=1e-12, rtol=0)
 
 
 def test_uncontrolled_gate_passes_through():

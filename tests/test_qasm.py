@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from conftest import phase_align
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
-                          ValidationError, to_qasm)
+                          ValidationError, lower, to_qasm, unitary_of)
 from grover_forge.ir import H, X
-from grover_forge.lowering import _rz
+from grover_forge.lowering import _ry, _rz
 
 HEADER = ["OPENQASM 2.0;", 'include "qelib1.inc";']
 
@@ -41,3 +44,36 @@ def test_near_hadamard_is_not_h():
 def test_unlowered_gates_rejected(gate):
     with pytest.raises(ValidationError, match="lowered"):
         to_qasm(Circuit(3, (gate,)))
+
+
+def parse_qasm(text):
+    """The circuit a lowered QASM file names, read back line by line."""
+    blocks = {"rz": _rz, "ry": _ry}
+    lines = text.splitlines()
+    n = int(re.fullmatch(r"qreg q\[(\d+)\];", lines[2])[1])
+    gates = []
+    for line in lines[3:]:
+        if m := re.fullmatch(r"(rz|ry)\((.+)\) q\[(\d+)\];", line):
+            gates.append(Single(blocks[m[1]](float(m[2])), int(m[3])))
+        elif m := re.fullmatch(r"(x|h) q\[(\d+)\];", line):
+            gates.append(Single(X if m[1] == "x" else H, int(m[2])))
+        else:
+            m = re.fullmatch(r"cx q\[(\d+)\],q\[(\d+)\];", line)
+            gates.append(Controlled.from_pairs(((int(m[1]), 1),), X,
+                                               int(m[2])))
+    return Circuit(n, tuple(gates))
+
+
+def test_lowered_qasm_round_trip():
+    # A pattern phase lowers to Rz multiplexors, and a mixed-polarity
+    # controlled H to its eigenbasis and a diagonal: the QASM holds rz,
+    # ry and cx lines, and read back it is the circuit up to phase.
+    circuit = Circuit(3, (Single(H, 0), PatternPhase("101", np.exp(0.3j)),
+                          Controlled.from_pairs(((0, 1), (2, 0)), H, 1),
+                          PatternPhase("010", -1)))
+    text = to_qasm(lower(circuit))
+    kinds = {re.match(r"\w+", line)[0] for line in text.splitlines()[3:]}
+    assert {"rz", "ry", "cx"} <= kinds
+    want = unitary_of(circuit)
+    got = unitary_of(parse_qasm(text))
+    assert np.abs(phase_align(got, want) - want).max() < 1e-9

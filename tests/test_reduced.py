@@ -17,7 +17,7 @@ from grover_forge.targets import bitstring
 def permutation_image(circuit):
     """Map each basis label through the circuit; requires a 0/1 matrix."""
     mat = unitary_of(circuit)
-    assert np.allclose(np.abs(mat) ** 2, np.round(np.abs(mat) ** 2))
+    assert np.allclose(np.abs(mat) ** 2, np.round(np.abs(mat) ** 2), rtol=0)
     out = []
     for col in range(mat.shape[1]):
         rows = np.nonzero(np.abs(mat[:, col]) > 0.5)[0]
@@ -43,7 +43,7 @@ def test_u_tilde_example_is_two_hadamard_like_gates(example_targets):
     state = apply_circuit(StateVector.basis(3, 0), circuit)
     want = np.zeros(8, dtype=complex)
     want[:4] = 0.5
-    assert np.allclose(state.amplitudes, want, atol=1e-14)
+    assert np.allclose(state.amplitudes, want, atol=1e-14, rtol=0)
 
 
 def test_u_tilde_trivial_and_bad_sizes():

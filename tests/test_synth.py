@@ -20,19 +20,19 @@ def test_example_three_gates(example_targets):
 
     g1, g2, g3 = circuit.gates
     assert isinstance(g1, Single) and g1.target == 0
-    assert np.allclose(g1.u, v1, atol=1e-14)
+    assert np.allclose(g1.u, v1, atol=1e-14, rtol=0)
     assert isinstance(g2, Controlled)
     assert g2.controls == ((0, 0),) and g2.target == 1
-    assert np.allclose(g2.u, v2, atol=1e-14)
+    assert np.allclose(g2.u, v2, atol=1e-14, rtol=0)
     assert isinstance(g3, Controlled)
     assert g3.controls == ((0, 0), (1, 0)) and g3.target == 2
-    assert np.allclose(g3.u, v3, atol=1e-14)
+    assert np.allclose(g3.u, v3, atol=1e-14, rtol=0)
 
 
 def test_example_prepares_superposition(example_targets):
     state = apply_circuit(StateVector.basis(3, 0), build_U(example_targets))
     assert np.allclose(state.amplitudes, state_of_targets(example_targets),
-                       atol=1e-14)
+                       atol=1e-14, rtol=0)
 
 
 def test_stage_skips_forced_branches():
@@ -54,7 +54,7 @@ def test_full_set_collapses_to_uncontrolled():
     assert all(isinstance(g, Single) for g in circuit.gates)
     state = apply_circuit(StateVector.basis(n, 0), circuit)
     assert np.allclose(state.amplitudes, np.full(1 << n, (1 << n) ** -0.5),
-                       atol=1e-14)
+                       atol=1e-14, rtol=0)
 
 
 def test_stage_range_errors(example_targets):
@@ -89,12 +89,12 @@ def test_oracle_flips_only_target_component(example_targets):
     oracle = build_oracle(example_targets)
     psi = state_of_targets(example_targets)
     flipped = apply_circuit(StateVector(3, psi.copy()), oracle)
-    assert np.allclose(flipped.amplitudes, -psi, atol=1e-12)
+    assert np.allclose(flipped.amplitudes, -psi, atol=1e-12, rtol=0)
     # A state orthogonal to |S> is untouched.
     perp = np.zeros(8, dtype=complex)
     perp[0], perp[1] = 2 ** -0.5, -(2 ** -0.5)
     kept = apply_circuit(StateVector(3, perp.copy()), oracle)
-    assert np.allclose(kept.amplitudes, perp, atol=1e-12)
+    assert np.allclose(kept.amplitudes, perp, atol=1e-12, rtol=0)
 
 
 def _controlled(circuit):
