@@ -7,9 +7,9 @@ from .dichotomy import PrefixTable, build_prefix_table, conditional_prob, margin
 from .engine import (AnalyticSchedule, analytic_schedule, grover_run,
                      grover_states, success_probability, uniform_state)
 from .errors import PermutationValidationError, SimulatorLimitError, ValidationError
-from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector, apply,
-                 apply_circuit, circuit_from_json, circuit_to_json, load_circuit,
-                 ry_from_probs, save_circuit, unitary_of)
+from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector,
+                 apply_circuit, circuit_from_json, circuit_to_json,
+                 load_circuit, ry_from_probs, save_circuit, unitary_of)
 from .lowering import lower
 from .qasm import to_qasm
 from .reduced import (PermutationPlan, build_pi_sigma, build_U_tilde,
@@ -23,7 +23,7 @@ __all__ = [
     "PatternPhase", "PermutationPlan",
     "PermutationValidationError", "PrefixTable", "SimulatorLimitError",
     "Single", "StateVector", "TargetSet", "ValidationError",
-    "analytic_schedule", "apply", "apply_circuit", "bound_U",
+    "analytic_schedule", "apply_circuit", "bound_U",
     "bound_U_tilde", "bound_pi", "build_D", "build_O_conv", "build_P",
     "build_U", "build_U_tilde", "build_oracle", "build_pi_sigma",
     "build_prefix_table", "build_report", "build_stage",

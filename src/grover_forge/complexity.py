@@ -9,7 +9,7 @@ qubits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -17,7 +17,7 @@ from .ir import Circuit, Controlled, PatternPhase
 from .engine import analytic_schedule, check_iterations
 from .reduced import build_pi_sigma, build_U_tilde, target_bits
 from .synth import build_D, build_O_conv, build_P, build_U
-from .targets import TargetSet
+from .targets import TargetSet, check_target_count
 
 
 def gate_cost(m: int) -> int:
@@ -70,12 +70,6 @@ def total_reduced_cost(n: int, s: int, k: int) -> int:
     return 2 * n ** 3 * s + 2 * k * n ** 2 + 2 * k * l * l * (1 << l)
 
 
-def _check_qubits(n: int) -> None:
-    """The cost ratio is defined for n >= 1 qubits only."""
-    if n < 1:
-        raise ValidationError(f"qubit count must be positive, got {n}")
-
-
 def _check_density(gamma: float) -> None:
     """A target density l/n lies in [0, 1]; NaN and infinities do not."""
     if not 0.0 <= gamma <= 1.0:
@@ -85,7 +79,7 @@ def _check_density(gamma: float) -> None:
 
 def gamma_approx(n: int, gamma: float) -> float:
     """Large-n approximation of the cost ratio at target density l/n."""
-    _check_qubits(n)
+    check_target_count(n, 1)
     _check_density(gamma)
     ln2 = math.log(2)
     terms = [math.log(n) - n * (1 - gamma) / 2 * ln2, -n * gamma * ln2]
@@ -101,9 +95,7 @@ def gamma_approx(n: int, gamma: float) -> float:
 def gamma_ratio(n: int, s: int) -> tuple[float, float]:
     """(exact, approximate) ratio of permuted-pipeline cost to conventional
     oracle cost at the square-root iteration budget."""
-    _check_qubits(n)
-    if not 1 <= s <= (1 << n):
-        raise ValidationError(f"target count {s} out of range for n={n}")
+    check_target_count(n, s)
     l = target_bits(s)
     # First term 2 n^3 s / (n^2 (s+1) sqrt(2^n / s)) in log space: it
     # underflows harmlessly for large n instead of overflowing.
@@ -143,11 +135,11 @@ class ComplexityReport:
     s: int
     l: int
     k: int
-    counts: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-    gamma: float = 0.0
-    gamma_exact: float = 0.0
-    gamma_approximate: float = 0.0
+    counts: dict
+    bounds: dict
+    gamma: float
+    gamma_exact: float
+    gamma_approximate: float
 
     @property
     def verdict(self) -> str:

@@ -31,7 +31,7 @@ from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector,
                  _apply_inplace, qubit_bits, unitary_of)
 from .reduced import PermutationPlan, build_U_tilde, plan_pi_sigma
 from .synth import build_D, build_O_conv, build_oracle, reflection
-from .targets import TargetSet
+from .targets import TargetSet, check_target_count
 
 VARIANTS = ("conventional", "modified", "reduced")
 DEFAULT_MAX_QUBITS = 22
@@ -72,8 +72,6 @@ def uniform_state(n: int) -> StateVector:
 class AnalyticSchedule:
     """Closed-form success curve of the two-dimensional search rotation."""
 
-    n_size: int
-    s_size: int
     phi: float
     k_star: int
 
@@ -82,19 +80,22 @@ class AnalyticSchedule:
 
 
 def analytic_schedule(n: int, s_size: int) -> AnalyticSchedule:
-    n_size = 1 << n
-    if not 1 <= s_size <= n_size:
-        raise ValidationError(f"target count {s_size} out of range for n={n}")
-    ratio = s_size / n_size
+    check_target_count(n, s_size)
+    # s_size / 2**n as Python rounds it, without building 2**n: the top 64
+    # bits of s_size, with one sticky bit for any set bit below them, round
+    # as all of s_size does.  Past 2**-1136 the ratio rounds to 0.
+    drop = max(s_size.bit_length() - 64, 0)
+    top = s_size >> drop | (s_size >> drop << drop != s_size)
+    ratio = top / (1 << (n - drop)) if n - drop <= 1200 else 0.0
     if not ratio:
         raise ValidationError(f"|S|/2**n underflows to 0 at n={n}: give the "
                               "iteration count (compare --k)")
     phi = math.asin(math.sqrt(ratio))
     # The tiny slack absorbs float noise when pi/(4 phi) lands exactly on
     # an integer, e.g. |S|/N = 1/2.
-    k_star = math.floor(math.pi / (4 * phi) + 1e-9) if s_size < n_size else 0
-    return AnalyticSchedule(n_size=n_size, s_size=s_size, phi=phi,
-                            k_star=k_star)
+    k_star = (math.floor(math.pi / (4 * phi) + 1e-9)
+              if s_size.bit_length() <= n else 0)
+    return AnalyticSchedule(phi=phi, k_star=k_star)
 
 
 def success_probability(state: StateVector, targets: TargetSet) -> float:

@@ -34,13 +34,13 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
-def blocks_close(u, v, atol: float = ATOL_UNITARY) -> bool:
-    """Entrywise |u - v| <= atol for two 2x2 blocks.
+def blocks_close(u, v) -> bool:
+    """Entrywise |u - v| <= ATOL_UNITARY for two 2x2 blocks.
 
     The tolerance is absolute only: a relative term would let a block that
     is 1e-5 away from X, H or the identity pass for it.  NaN never passes.
     """
-    return bool(np.abs(np.subtract(u, v)).max() <= atol)
+    return bool(np.abs(np.subtract(u, v)).max() <= ATOL_UNITARY)
 
 
 def _as_unitary(u) -> np.ndarray:
@@ -254,11 +254,6 @@ def _apply_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
     u = gate.u
     a0[...], a1[...] = (u[0, 0] * a0 + u[0, 1] * a1,
                         u[1, 0] * a0 + u[1, 1] * a1)
-
-
-def apply(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a fresh state."""
-    return apply_circuit(state, Circuit(state.n, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .errors import PermutationValidationError, ValidationError
 from .ir import Circuit, Controlled, Gate, Single, X, qubit_bits
 from .synth import build_U
-from .targets import TargetSet, bitstring
+from .targets import TargetSet, bitstring, check_target_count
 
 
 def target_bits(size: int) -> int:
@@ -33,8 +33,7 @@ def build_U_tilde(size: int, n: int) -> Circuit:
     Only the last l qubits carry gates; the leading stages are absent
     entirely because every prefix there is forced to zero.
     """
-    if not 1 <= size <= (1 << n):
-        raise ValidationError(f"size {size} out of range for n={n}")
+    check_target_count(n, size)
     if size == 1:
         return Circuit(n, ())
     l = target_bits(size)

@@ -21,6 +21,18 @@ def prefix_of(x: int, m: int, n: int) -> int:
     return x >> (n - m)
 
 
+def check_target_count(n: int, s: int) -> None:
+    """Reject n < 1, and a target count s outside 1..2^n.
+
+    s <= 2^n exactly when s - 1 fits in n bits, so 2^n is never built and
+    any n is decided at once.  check_target_count(n, 1) checks n alone.
+    """
+    if n < 1:
+        raise ValidationError(f"qubit count must be positive, got {n}")
+    if s < 1 or (s - 1).bit_length() > n:
+        raise ValidationError(f"target count {s} out of range for n={n}")
+
+
 @dataclass(frozen=True)
 class TargetSet:
     """A nonempty set of search targets on n qubits."""
@@ -30,11 +42,10 @@ class TargetSet:
 
     def __post_init__(self):
         n = as_int(self.n, "qubit count")
-        if n < 1:
-            raise ValidationError(f"qubit count must be positive, got {n}")
         labels = tuple(as_int(x, "target label") for x in self.labels)
         if not labels:
             raise ValidationError("empty target set")
+        check_target_count(n, len(labels))
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate target labels")
         if sorted(labels) != list(labels):
@@ -56,8 +67,6 @@ class TargetSet:
                 ints.append(int(x, 2))
             else:
                 ints.append(as_int(x, "target label"))
-        if len(set(ints)) != len(ints):
-            raise ValidationError("duplicate target labels")
         return cls(n, tuple(sorted(ints)))
 
     @property
@@ -67,9 +76,6 @@ class TargetSet:
     @property
     def label_set(self) -> frozenset[int]:
         return frozenset(self.labels)
-
-    def bitstrings(self) -> list[str]:
-        return [bitstring(x, self.n) for x in self.labels]
 
 
 def parse_target_file(path) -> TargetSet:

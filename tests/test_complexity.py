@@ -68,6 +68,14 @@ def test_gamma_ratio_validation():
         gamma_ratio(3, 0)
     with pytest.raises(ValidationError):
         gamma_ratio(3, 9)
+    with pytest.raises(ValidationError, match="qubit count must be positive"):
+        gamma_ratio(0, 1)
+
+
+def test_gamma_ratio_huge_n():
+    # The range check reads bit lengths, so 2^n is never built.  At |S|=1
+    # only the flat terms remain: 2 n^2 / (n^2 (|S| + 1)), and 2 at l = 0.
+    assert gamma_ratio(10 ** 20, 1) == (1.0, 2.0)
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf"),

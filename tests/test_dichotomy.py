@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from grover_forge import (TargetSet, ValidationError, build_prefix_table,
                           conditional_prob, marginal_prob, parse_target_file)
-from grover_forge.targets import prefix_of
+from grover_forge.targets import bitstring, prefix_of
 
 
 def brute_force_counts(targets):
@@ -180,7 +180,9 @@ def test_target_file_round_trip(targets, rnd):
     labels = list(targets.labels)
     rnd.shuffle(labels)
     bodies = {"s.json": json.dumps({"n": targets.n, "targets": labels}),
-              "s.txt": "\n".join([f"n={targets.n}", *targets.bitstrings()])}
+              "s.txt": "\n".join([f"n={targets.n}",
+                                  *(bitstring(x, targets.n)
+                                    for x in targets.labels)])}
     with tempfile.TemporaryDirectory() as tmp:
         for name, body in bodies.items():
             path = Path(tmp) / name

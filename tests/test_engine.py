@@ -56,6 +56,27 @@ def test_analytic_schedule_values():
         analytic_schedule(3, 9)
 
 
+@pytest.mark.parametrize("n, s_size", [
+    (1, 2), (64, 2 ** 64), (70, 2 ** 64 + 1), (200, 3 << 150),
+    (1100, 2 ** 1100), (1100, 2 ** 1099 + 1), (1200, (1 << 130) - 1),
+    # Subnormal ratios, rounded once from all the bits of |S|.
+    (1140, (1 << 70) + (1 << 16) + 1), (1150, (1 << 80) - 1)])
+def test_analytic_schedule_ratio_is_exact(n, s_size):
+    # |S|/2^n is computed without 2^n, and rounds as Python's own division.
+    sched = analytic_schedule(n, s_size)
+    assert sched.phi == np.arcsin(np.sqrt(s_size / 2 ** n))
+    assert (sched.k_star == 0) == (s_size == 2 ** n)
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 20])
+def test_analytic_schedule_huge_n(n):
+    # Decided from bit lengths: no 2^n is built, and no OverflowError.
+    with pytest.raises(ValidationError, match="underflows"):
+        analytic_schedule(n, 1)
+    with pytest.raises(ValidationError, match="out of range"):
+        analytic_schedule(3, 2 ** 40)
+
+
 @pytest.mark.parametrize("n", [*range(1070, 1081), 5000])
 def test_analytic_schedule_wide_sets(n):
     # |S|/2^n underflows to 0 for these n at small |S|: a ValidationError

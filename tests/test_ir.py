@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import grover_forge
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
-                          StateVector, ValidationError, apply, apply_circuit,
+                          StateVector, ValidationError, apply_circuit,
                           circuit_from_json, circuit_to_json, ry_from_probs,
                           unitary_of)
 from grover_forge.ir import H, X
@@ -184,14 +184,15 @@ def test_test_comparisons_are_absolute():
 
 
 def test_apply_x_sets_bit():
-    state = apply(StateVector.basis(3, 0), Single(X, 1))
+    state = apply_circuit(StateVector.basis(3, 0),
+                          Circuit(3, (Single(X, 1),)))
     assert np.argmax(np.abs(state.amplitudes)) == 0b010
 
 
 def test_pattern_phase_subtracts_component():
     n = 3
     uniform = StateVector(n, np.full(8, 8 ** -0.5, dtype=complex))
-    state = apply(uniform, PatternPhase("000", -1))
+    state = apply_circuit(uniform, Circuit(n, (PatternPhase("000", -1),)))
     want = uniform.amplitudes.copy()
     want[0] -= 2 * 8 ** -0.5
     assert np.allclose(state.amplitudes, want, atol=1e-15, rtol=0)
@@ -223,7 +224,8 @@ def test_apply_matches_dense_oracle(seed):
             tuple((int(q), int(rng.integers(0, 2))) for q in controls),
             random_unitary_2x2(rng), t))
     for gate in gates:
-        got = apply(StateVector(n, amps), gate).amplitudes
+        got = apply_circuit(StateVector(n, amps),
+                            Circuit(n, (gate,))).amplitudes
         want = dense_gate_matrix(gate, n) @ amps
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
@@ -231,16 +233,18 @@ def test_apply_matches_dense_oracle(seed):
 def test_apply_norm_preserving_and_linear():
     rng = np.random.default_rng(7)
     n = 4
-    gate = Controlled.from_pairs(((0, 1), (2, 0)), random_unitary_2x2(rng), 3)
+    circuit = Circuit(n, (Controlled.from_pairs(
+        ((0, 1), (2, 0)), random_unitary_2x2(rng), 3),))
     s1 = rng.normal(size=16) + 1j * rng.normal(size=16)
     s2 = rng.normal(size=16) + 1j * rng.normal(size=16)
     s1 /= np.linalg.norm(s1)
     s2 /= np.linalg.norm(s2)
-    assert abs(apply(StateVector(n, s1), gate).norm() - 1) < 1e-12
+    assert abs(apply_circuit(StateVector(n, s1), circuit).norm() - 1) < 1e-12
     a, b = 0.3 - 0.2j, 0.8 + 0.1j
-    combined = apply(StateVector(n, a * s1 + b * s2), gate).amplitudes
-    parts = (a * apply(StateVector(n, s1), gate).amplitudes
-             + b * apply(StateVector(n, s2), gate).amplitudes)
+    combined = apply_circuit(StateVector(n, a * s1 + b * s2),
+                             circuit).amplitudes
+    parts = (a * apply_circuit(StateVector(n, s1), circuit).amplitudes
+             + b * apply_circuit(StateVector(n, s2), circuit).amplitudes)
     assert np.allclose(combined, parts, atol=1e-12, rtol=0)
 
 
