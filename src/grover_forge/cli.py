@@ -22,6 +22,12 @@ from .synth import build_O_conv, build_oracle, build_U
 from .targets import TargetSet, parse_target_file
 
 MAX_SWEEP_ROWS = 100_000
+# The work `synth` and `compare --targets` may spend on one target set, in
+# control bits: their circuits hold up to about n |S| gates of up to n
+# controls each, and building a gate costs about as much as 2,048 bits.
+# The widest sets it admits take `compare --targets` about 4 s and 150 MB
+# on a 2-core VM: 3,214 labels on 40 qubits, or one label on 15,350.
+MAX_TARGET_WORK = 1 << 28
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,8 +81,20 @@ def _load_targets(path) -> TargetSet:
         raise ValidationError(f"cannot read target file: {exc}") from exc
 
 
+def _load_bounded_targets(path) -> TargetSet:
+    """A target set within MAX_TARGET_WORK, checked before anything is
+    built for it."""
+    targets = _load_targets(path)
+    n, s = targets.n, targets.size
+    if n * s * (n + 2048) > MAX_TARGET_WORK:
+        raise ValidationError(
+            f"target set of {s} labels on {n} qubits is too large: "
+            f"n |S| (n + 2048) exceeds {MAX_TARGET_WORK}")
+    return targets
+
+
 def _cmd_synth(args) -> int:
-    targets = _load_targets(args.targets)
+    targets = _load_bounded_targets(args.targets)
     plan = None
     if args.variant == "u":
         circuit = build_U(targets)
@@ -212,8 +230,8 @@ def _compare_output(args, out) -> None:
         for n, gamma, ratio, flag in rows:
             writer.writerow([n, f"{gamma:.6g}", f"{ratio:.10g}", int(flag)])
     elif args.targets:
-        report = complexity.build_report(_load_targets(args.targets),
-                                         k=args.k)
+        report = complexity.build_report(
+            _load_bounded_targets(args.targets), k=args.k)
         if args.as_json:
             json.dump(report.to_json(), out, indent=1)
             out.write("\n")

@@ -50,6 +50,10 @@ def check_qubits(n: int) -> None:
     except ValueError as exc:
         raise ValidationError(
             f"bad GROVER_FORGE_MAX_QUBITS value {raw!r}") from exc
+    if limit >= 64:
+        # StateVector's own bound: no array holds 2**64 amplitudes.
+        raise ValidationError(
+            f"GROVER_FORGE_MAX_QUBITS={limit} is not below 64")
     if n > limit:
         raise SimulatorLimitError(
             f"n={n} exceeds simulator limit {limit} "

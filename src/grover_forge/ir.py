@@ -179,6 +179,8 @@ class Circuit:
                 if len(gate.pattern) != n:
                     raise ValidationError(
                         "pattern length must equal qubit count")
+            elif not isinstance(gate, (Single, Controlled)):
+                raise ValidationError(f"not a gate: {gate!r}")
             elif not 0 <= gate.target < n:
                 raise ValidationError(f"qubit index {gate.target} out of range")
             elif isinstance(gate, Controlled) and gate.mask.bit_length() > n:
@@ -339,23 +341,31 @@ def circuit_to_json(circuit: Circuit) -> dict:
     return {"n": circuit.n, "gates": gates}
 
 
+def _gate_from_json(entry: dict, n: int) -> Gate:
+    kind = entry["kind"]
+    if kind == "single":
+        return Single(_block_from_json(entry["u"]), entry["target"])
+    if kind == "controlled":
+        return Controlled.from_pairs(entry["controls"],
+                                     _block_from_json(entry["u"]),
+                                     entry["target"], n)
+    if kind == "pattern_phase":
+        re, im = entry["phase"]
+        return PatternPhase(entry["pattern"], complex(re, im))
+    raise ValidationError(f"unknown gate kind {kind!r}")
+
+
 def circuit_from_json(data: dict) -> Circuit:
-    n = as_int(data["n"], "qubit count")
-    gates = []
-    for entry in data["gates"]:
-        kind = entry["kind"]
-        if kind == "single":
-            gates.append(Single(_block_from_json(entry["u"]), entry["target"]))
-        elif kind == "controlled":
-            gates.append(Controlled.from_pairs(
-                entry["controls"], _block_from_json(entry["u"]),
-                entry["target"], n))
-        elif kind == "pattern_phase":
-            re, im = entry["phase"]
-            gates.append(PatternPhase(entry["pattern"], complex(re, im)))
-        else:
-            raise ValidationError(f"unknown gate kind {kind!r}")
-    return Circuit(n, tuple(gates))
+    """The circuit a file's contents describe.  A missing key, or a value
+    of the wrong type or shape, raises ValidationError."""
+    try:
+        n = as_int(data["n"], "qubit count")
+        gates = tuple(_gate_from_json(entry, n) for entry in data["gates"])
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed circuit JSON: {exc!r}") from exc
+    return Circuit(n, gates)
 
 
 def save_circuit(circuit: Circuit, path) -> None:
@@ -367,4 +377,8 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 def load_circuit(path) -> Circuit:
     with open(path, encoding="utf-8") as fh:
-        return circuit_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"bad circuit JSON: {exc}") from exc
+    return circuit_from_json(data)

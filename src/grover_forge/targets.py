@@ -93,6 +93,12 @@ def parse_target_file(path) -> TargetSet:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad JSON target file: {exc}") from exc
+        except ValueError as exc:
+            # Python caps the decimal digits of an int it reads; bitstrings
+            # are read with int(x, 2), which has no such cap.
+            raise ValidationError(
+                "bad JSON target file: a number has more decimal digits than "
+                "Python reads; give labels this wide as bitstrings") from exc
         if "n" not in data or "targets" not in data:
             raise ValidationError('JSON target file needs "n" and "targets"')
         if not isinstance(data["targets"], list):

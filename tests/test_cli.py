@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import random
 import time
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_forge import engine, load_circuit, unitary_of
+from grover_forge import cli
 from grover_forge.cli import main
 from grover_forge.ir import StateVector
 
@@ -204,6 +206,57 @@ def test_synth_file_bound_writes_nothing(tmp_path, capsys, variant):
     captured = capsys.readouterr()
     assert "control pairs" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == [tmp_path / "wide4000.json"]
+
+
+def test_target_work_bound_refuses_at_once(tmp_path, capsys):
+    # Each set is refused in closed form from n and |S|, before anything is
+    # built for it: n=10^20 would crash bitstring and 2^n, and 80,000
+    # labels on 40 qubits cost compare --targets 93 s and 1.2 GB.
+    labels = random.Random(3).sample(range(1 << 40), 80_000)
+    bodies = {"huge.json": {"n": 10 ** 20, "targets": [0]},
+              "dense.json": {"n": 40, "targets": labels}}
+    for name, body in bodies.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        for argv in (["compare", "--targets", str(path), "--k", "3",
+                      "--out", str(out)],
+                     ["synth", "--targets", str(path), "--variant",
+                      "oracle-conv", "--out", str(out),
+                      "--qasm", str(out) + ".qasm"]):
+            started = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - started < 1
+            captured = capsys.readouterr()
+            assert "too large" in captured.err
+            assert captured.out == "" and not out.exists()
+    assert cli.MAX_TARGET_WORK >= 40 * 3214 * (40 + 2048)
+
+
+def test_json_label_digit_limit(tmp_path, capsys):
+    # json.loads reads at most 4,300 decimal digits per int; bitstrings
+    # give the same labels.
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 20000, "targets": [0, ' + "9" * 5000 + "]}")
+    out = tmp_path / "out"
+    for argv in (["compare", "--targets", str(path), "--out", str(out)],
+                 ["synth", "--targets", str(path), "--variant", "u",
+                  "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "as bitstrings" in captured.err
+        assert not out.exists()
+
+
+def test_qubit_limit_setting_below_64(tmp_path, monkeypatch, capsys):
+    # No state holds 2**64 amplitudes, so a limit of 64 or more is refused
+    # before numpy is asked for one.
+    path = tmp_path / "wide.json"
+    path.write_text('{"n": 70, "targets": [1]}')
+    monkeypatch.setenv("GROVER_FORGE_MAX_QUBITS", "70")
+    assert main(["simulate", "--targets", str(path),
+                 "--variant", "conventional", "--k", "1"]) == 2
+    assert "GROVER_FORGE_MAX_QUBITS=70" in capsys.readouterr().err
 
 
 def test_paper_mode_failure_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import ast
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ import grover_forge
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           StateVector, ValidationError, apply_circuit,
-                          circuit_from_json, circuit_to_json, ry_from_probs,
-                          unitary_of)
+                          circuit_from_json, circuit_to_json, load_circuit,
+                          ry_from_probs, unitary_of)
 from grover_forge.ir import H, X
 
 
@@ -153,6 +154,36 @@ def test_circuit_from_json_rejects_non_integers(body):
         circuit_from_json(body)
 
 
+@pytest.mark.parametrize("make, arg", [
+    (circuit_from_json, {"n": 2}),
+    (circuit_from_json, {"n": 2, "gates": [{"target": 0, "u": _U}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "single", "target": 0, "u": _U[:3]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "single", "target": 0, "u": _U + [[0, 0]]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "single", "target": 0, "u": [["1", 0]] + _U[1:]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "pattern_phase", "pattern": 5, "phase": [1, 0]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "pattern_phase", "pattern": "00", "phase": 1.0}]}),
+    (circuit_from_json, [2, []]),
+    (partial(Circuit, 2), (None,)),
+], ids=["no gates", "no kind", "3 entries", "5 entries", "string entry",
+        "int pattern", "scalar phase", "not an object", "not a gate"])
+def test_malformed_circuit_is_validation_error(make, arg):
+    # Documented file format: every malformed input is a ValidationError.
+    with pytest.raises(ValidationError):
+        make(arg)
+
+
+def test_load_circuit_rejects_bad_json(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"n": 2, "gates": [')
+    with pytest.raises(ValidationError, match="bad circuit JSON"):
+        load_circuit(path)
+
+
 def test_unitarity_tolerance_is_absolute():
     # |u^H u - I| is 8e-6 on the diagonal: far outside ATOL_UNITARY, though
     # a relative tolerance of 1e-5 would accept it.
@@ -181,6 +212,26 @@ def test_test_comparisons_are_absolute():
                 rtol = [k.value for k in node.keywords if k.arg == "rtol"]
                 assert [getattr(v, "value", None) for v in rtol] == [0], \
                     f"{path.name}:{node.lineno}"
+
+
+def test_package_has_no_import_cycles():
+    # Each module's relative imports, at any depth in the module.  Peeling
+    # off modules that import no remaining one leaves only the cycles and
+    # the modules that import them.
+    src = Path(grover_forge.__file__).parent
+    imports = {}
+    for path in src.glob("*.py"):
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps |= ({node.module.split(".")[0]} if node.module
+                         else {alias.name for alias in node.names})
+        imports[path.stem] = deps
+    while leaves := [m for m, deps in imports.items()
+                     if not deps & imports.keys()]:
+        for m in leaves:
+            del imports[m]
+    assert not imports, f"import cycle among {sorted(imports)}"
 
 
 def test_apply_x_sets_bit():
