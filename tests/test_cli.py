@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_forge import engine, load_circuit, unitary_of
-from grover_forge import cli
 from grover_forge.cli import main
 from grover_forge.ir import StateVector
 
@@ -230,7 +229,6 @@ def test_target_work_bound_refuses_at_once(tmp_path, capsys):
             captured = capsys.readouterr()
             assert "too large" in captured.err
             assert captured.out == "" and not out.exists()
-    assert cli.MAX_TARGET_WORK >= 40 * 3214 * (40 + 2048)
 
 
 def test_json_label_digit_limit(tmp_path, capsys):
