@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
 from .engine import analytic_schedule, check_iterations
-from .reduced import build_pi_sigma, build_U_tilde, target_bits
+from .reduced import build_U_tilde, plan_pi_sigma, target_bits
 from .synth import build_D, build_O_conv, build_P, build_U
 from .targets import TargetSet, check_target_count
 
@@ -106,8 +105,7 @@ def gamma_ratio(n: int, s: int) -> tuple[float, float]:
         synth_term = math.exp(log_term)
     except OverflowError:
         raise ValidationError("cost ratio overflows at these parameters")
-    flat_term = float(Fraction(2 * (n * n + l * l * (1 << l)),
-                               n * n * (s + 1)))
+    flat_term = 2 * (n * n + l * l * (1 << l)) / (n * n * (s + 1))
     exact = synth_term + flat_term
     return exact, gamma_approx(n, l / n)
 
@@ -148,7 +146,7 @@ class ComplexityReport:
     def to_json(self) -> dict:
         return {
             "n": self.n, "s": self.s, "l": self.l, "k": self.k,
-            # Counting always builds pi_sigma in paper mode.
+            # pi_sigma is always counted from its paper-mode plan.
             "pi_mode": "paper",
             "counts": dict(self.counts), "bounds": dict(self.bounds),
             "gamma": self.gamma,
@@ -162,7 +160,8 @@ def build_report(targets: TargetSet, k: int | None = None
                  ) -> ComplexityReport:
     """Count every construction for one target set.
 
-    pi_sigma is counted in paper mode.  Counting does not require the
+    pi_sigma is counted from its paper-mode plan, one (n-1)-controlled X
+    per swap, and no gate of it is built.  Counting does not require the
     gray-code chains to be semantically valid, so paper mode is never
     rejected here.  The oracle U P U^dagger is counted from its parts.
     """
@@ -174,13 +173,13 @@ def build_report(targets: TargetSet, k: int | None = None
         check_iterations(k)
     prep = build_U(targets)
     prep_tilde = build_U_tilde(s, n)
-    pi_circ, _ = build_pi_sigma(targets, "paper", validate=False)
+    swaps = plan_pi_sigma(targets, "paper", validate=False).swaps()
     oracle_conv = build_O_conv(targets)
     u_cost, p_cost = count(prep), count(build_P(n))
     counts = {
         "U": u_cost,
         "U_tilde": count(prep_tilde),
-        "pi_sigma": count(pi_circ),
+        "pi_sigma": gate_cost(n - 1) * len(swaps),
         "oracle": 2 * u_cost + p_cost,
         "oracle_conv": count(oracle_conv),
         "D": count(build_D(n)),

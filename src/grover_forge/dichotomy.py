@@ -3,8 +3,8 @@
 Splitting a target set by successive bit values yields, for every depth m,
 the census of targets under each m-bit prefix.  The marginal probability of
 a prefix and the conditional probability of the next bit are ratios of
-these counts; both are returned as exact rationals so downstream rotation
-matrices reproduce closed-form values to machine precision.
+these counts, returned as exact rationals; synthesis divides the same
+counts as ints, which round to the floats of these rationals.
 """
 from __future__ import annotations
 

@@ -68,8 +68,16 @@ def check_iterations(k: int) -> None:
 
 
 def uniform_state(n: int) -> StateVector:
+    """The equal superposition, or SimulatorLimitError when numpy cannot
+    allocate its 2**n amplitudes (a qubit limit raised too far)."""
     dim = 1 << n
-    return StateVector(n, np.full(dim, dim ** -0.5, dtype=complex))
+    try:
+        amps = np.full(dim, dim ** -0.5, dtype=complex)
+    except (ValueError, MemoryError) as exc:
+        raise SimulatorLimitError(
+            f"the state of n={n} qubits needs {16 * dim} bytes, which numpy "
+            f"cannot allocate: {exc}") from exc
+    return StateVector(n, amps)
 
 
 @dataclass(frozen=True)
@@ -253,6 +261,10 @@ class _Run:
             raise ValidationError(f"unknown variant {variant!r}")
         n = targets.n
         self.n = n
+        # pi_sigma^dagger leaves the uniform start, a fresh array, as is.
+        # It is allocated first, so that a state too large for numpy is
+        # refused before any other array is built.
+        self.amps = uniform_state(n).amplitudes
         self.index: np.ndarray | None = None
         if variant == "conventional":
             oracle = build_O_conv(targets)
@@ -261,8 +273,6 @@ class _Run:
         else:
             oracle = reflection(build_U_tilde(targets.size, n))
             self.index = _gather_index(plan_pi_sigma(targets, mode))
-        # pi_sigma^dagger leaves the uniform start, a fresh array, as is.
-        self.amps = uniform_state(n).amplitudes
         self.steps = _fuse(oracle.gates + build_D(n).gates, self.amps, n)
 
     def step(self) -> None:

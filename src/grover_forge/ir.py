@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -44,7 +44,11 @@ def blocks_close(u, v) -> bool:
 
 
 def _as_unitary(u) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"gate block is not a numeric array: {exc}"
+                              ) from exc
     if u.shape != (2, 2):
         raise ValidationError(f"gate block must be 2x2, got shape {u.shape}")
     if not blocks_close(u.conj().T @ u, I2):
@@ -151,10 +155,15 @@ class PatternPhase:
     phase: complex
 
     def __post_init__(self):
-        if set(self.pattern) - {"0", "1"} or not self.pattern:
+        if (not isinstance(self.pattern, str) or not self.pattern
+                or set(self.pattern) - {"0", "1"}):
             raise ValidationError(f"bad pattern {self.pattern!r}")
+        if not isinstance(self.phase, numbers.Number):
+            raise ValidationError(f"pattern phase must be a number, "
+                                  f"got {self.phase!r}")
         phase = complex(self.phase)
-        if abs(abs(phase) - 1.0) > ATOL_UNITARY:
+        # Written so that a NaN phase fails too.
+        if not abs(abs(phase) - 1.0) <= ATOL_UNITARY:
             raise ValidationError("pattern phase must have modulus 1")
         object.__setattr__(self, "phase", phase)
 
@@ -288,16 +297,14 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 
 def ry_from_probs(p0, p1) -> np.ndarray:
-    """Real rotation sending |0> to sqrt(p0)|0> + sqrt(p1)|1>."""
-    p0f, p1f = float(p0), float(p1)
-    if p0f < 0 or p1f < 0:
+    """Real rotation sending |0> to sqrt(p0)|0> + sqrt(p1)|1>.  The two
+    probabilities are nonnegative and sum to 1 within ATOL_UNITARY."""
+    p0, p1 = float(p0), float(p1)
+    if p0 < 0 or p1 < 0:
         raise ValidationError("branch probabilities must be nonnegative")
-    if not isinstance(p0, Fraction) or not isinstance(p1, Fraction):
-        if abs(p0f + p1f - 1.0) > ATOL_UNITARY:
-            raise ValidationError("branch probabilities must sum to 1")
-    elif p0 + p1 != 1:
+    if not abs(p0 + p1 - 1.0) <= ATOL_UNITARY:
         raise ValidationError("branch probabilities must sum to 1")
-    r0, r1 = math.sqrt(p0f), math.sqrt(p1f)
+    r0, r1 = math.sqrt(p0), math.sqrt(p1)
     return np.array([[r0, -r1], [r1, r0]], dtype=complex)
 
 

@@ -9,8 +9,6 @@ reflection about that superposition.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dichotomy import PrefixTable, build_prefix_table
 from .errors import ValidationError
 from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
@@ -21,11 +19,13 @@ from .targets import TargetSet, bitstring
 def build_stage(table: PrefixTable, m: int) -> Circuit:
     """The stage-m circuit: rotations on qubit m-1 (0-based).
 
-    Each populated (m-1)-bit prefix splits its target count c into the
-    child counts (c0, c1); depth 0 is the one prefix 0 with every target.
-    Branches with split (1, 0) are identity and dropped.  When every prefix
-    at depth m-1 is populated and all splits agree, the stage collapses to
-    one uncontrolled rotation.
+    Each populated (m-1)-bit prefix splits its c targets into c - ones
+    with next bit 0 and ones with next bit 1; depth 0 is the one prefix 0
+    with every target.  Its block is ry_from_probs((c - ones) / c,
+    ones / c): int division rounds as the float of the rational does,
+    where 1 - ones / c may not.  Branches with ones = 0 are identity and
+    dropped.  When every prefix at depth m-1 is populated and all splits
+    agree, the stage collapses to one uncontrolled rotation.
     """
     n = table.n
     if not 1 <= m <= n:
@@ -33,25 +33,26 @@ def build_stage(table: PrefixTable, m: int) -> Circuit:
     depth = m - 1
     parents = table.levels[depth - 1] if depth else {0: table.total}
     children = table.levels[depth]
-    splits = [(alpha, Fraction(children.get(2 * alpha, 0), c),
-               Fraction(children.get(2 * alpha + 1, 0), c))
+    splits = [(alpha, c, children.get(2 * alpha + 1, 0))
               for alpha, c in sorted(parents.items())]
+    _, c, ones = splits[0]
     if (len(splits) == 1 << depth
-            and all(s[1:] == splits[0][1:] for s in splits)):
-        p0, p1 = splits[0][1:]
-        if p1 == 0:
+            and all(ones_a * c == ones * c_a for _, c_a, ones_a in splits)):
+        if ones == 0:
             return Circuit(n, ())
-        return Circuit(n, (Single(ry_from_probs(p0, p1), depth),))
+        return Circuit(n, (Single(ry_from_probs((c - ones) / c, ones / c),
+                                  depth),))
 
     # Every rotation is controlled on all of qubits 0..depth-1, set to its
     # prefix alpha.
     mask = (1 << depth) - 1
     gates: list[Gate] = []
-    for alpha, p0, p1 in splits:
-        if p1 == 0:
+    for alpha, c, ones in splits:
+        if ones == 0:
             continue
         gates.append(Controlled(mask, qubit_bits(alpha, depth),
-                                ry_from_probs(p0, p1), depth))
+                                ry_from_probs((c - ones) / c, ones / c),
+                                depth))
     return Circuit(n, tuple(gates))
 
 

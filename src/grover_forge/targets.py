@@ -86,7 +86,10 @@ def parse_target_file(path) -> TargetSet:
     length n per line.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"target file is not UTF-8: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:

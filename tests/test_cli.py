@@ -257,6 +257,22 @@ def test_qubit_limit_setting_below_64(tmp_path, monkeypatch, capsys):
     assert "GROVER_FORGE_MAX_QUBITS=70" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [60, 63])
+def test_state_numpy_refuses_is_limit_error(tmp_path, monkeypatch, capsys,
+                                            n):
+    # With the limit raised to n, numpy refuses 2**n amplitudes from their
+    # size alone, before it allocates anything.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": n, "targets": [1]}))
+    monkeypatch.setenv("GROVER_FORGE_MAX_QUBITS", str(n))
+    for variant in engine.VARIANTS:
+        assert main(["simulate", "--targets", str(path),
+                     "--variant", variant, "--k", "1"]) == 3
+        captured = capsys.readouterr()
+        assert f"needs {16 << n} bytes" in captured.err
+        assert captured.out == ""
+
+
 def test_paper_mode_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "collide.json"
     path.write_text('{"n": 3, "targets": [1, 2, 3]}')
@@ -375,6 +391,25 @@ def test_validation_exit_code(tmp_path, capsys):
     assert main(["simulate", "--targets", str(path),
                  "--variant", "conventional", "--k", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [b"n=3\n00\xff\n", b'\xff\xfe{"n": 3}'],
+                         ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--variant", "modified"],
+    ["compare"],
+    ["synth", "--variant", "u"],
+], ids=["simulate", "compare", "synth"])
+def test_target_file_not_utf8(tmp_path, capsys, body, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(body)
+    out = tmp_path / "out.json"
+    if argv[0] != "simulate":
+        argv = argv + ["--out", str(out)]
+    assert main(argv + ["--targets", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "not UTF-8" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("body", [

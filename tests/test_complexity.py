@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import random_target_set, target_sets
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           TargetSet, ValidationError, bound_pi, bound_U,
@@ -9,6 +9,7 @@ from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           build_pi_sigma, build_report, build_U, build_U_tilde,
                           canonical_targets, count, gamma_approx, gamma_ratio,
                           sweep_gamma)
+from grover_forge import reduced
 from grover_forge.complexity import gate_cost, total_reduced_cost
 from grover_forge.ir import H, X
 
@@ -129,14 +130,23 @@ def test_report_verdict_tracks_ratio():
     assert dense.gamma_exact > 1 and dense.verdict == "conventional"
 
 
-def test_report_accepts_colliding_paper_mode():
-    # Counting must not reject sets whose paper-mode chains collide.
-    report = build_report(TargetSet(3, (1, 2, 3)))
-    assert report.counts["pi_sigma"] > 0
+def test_report_accepts_colliding_paper_mode(monkeypatch):
+    # Counting must not reject sets whose paper-mode chains collide: the
+    # chain 011 -> 010 -> 000 passes through the target 010.  pi_sigma is
+    # counted from its plan, two 2-controlled X gates, and none is built.
+    def refuse(*args):
+        raise AssertionError("built a pi_sigma gate")
+
+    monkeypatch.setattr(reduced, "_transposition_gate", refuse)
+    assert build_report(TargetSet(3, (1, 2, 3))).counts["pi_sigma"] == 8
 
 
 @settings(max_examples=40, deadline=None)
 @given(target_sets(1, 7))
+@example(TargetSet(1, (1,)))
+@example(TargetSet(3, (1, 2, 3)))
 def test_report_counts_the_built_oracle(targets):
-    assert build_report(targets, k=1).counts["oracle"] == \
-        count(build_oracle(targets))
+    counts = build_report(targets, k=1).counts
+    assert counts["oracle"] == count(build_oracle(targets))
+    assert counts["pi_sigma"] == count(
+        build_pi_sigma(targets, "paper", validate=False)[0])

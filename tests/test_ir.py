@@ -167,14 +167,36 @@ def test_circuit_from_json_rejects_non_integers(body):
         {"kind": "pattern_phase", "pattern": 5, "phase": [1, 0]}]}),
     (circuit_from_json, {"n": 2, "gates": [
         {"kind": "pattern_phase", "pattern": "00", "phase": 1.0}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "pattern_phase", "pattern": ["0", "1"], "phase": [1, 0]}]}),
     (circuit_from_json, [2, []]),
     (partial(Circuit, 2), (None,)),
 ], ids=["no gates", "no kind", "3 entries", "5 entries", "string entry",
-        "int pattern", "scalar phase", "not an object", "not a gate"])
+        "int pattern", "scalar phase", "list pattern", "not an object",
+        "not a gate"])
 def test_malformed_circuit_is_validation_error(make, arg):
     # Documented file format: every malformed input is a ValidationError.
     with pytest.raises(ValidationError):
         make(arg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PatternPhase(5, -1),
+    lambda: PatternPhase(["0", "1"], -1),
+    lambda: PatternPhase("01", "x"),
+    lambda: PatternPhase("01", "-1"),
+    lambda: PatternPhase("01", None),
+    lambda: PatternPhase("01", complex("nan")),
+    lambda: Single([[1, 0], [0]], 0),
+    lambda: Single("ab", 0),
+    lambda: Single([[1, 0], [0, {}]], 0),
+    lambda: Controlled(1, 1, [[0, 1], [1]], 1),
+], ids=["int pattern", "list pattern", "word phase", "numeric string phase",
+        "None phase", "NaN phase", "ragged block", "string block",
+        "object entry", "ragged controlled block"])
+def test_gate_constructor_is_validation_error(make):
+    with pytest.raises(ValidationError):
+        make()
 
 
 def test_load_circuit_rejects_bad_json(tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 
 from grover_forge import (Circuit, Controlled, Single, TargetSet,
                           ValidationError, apply_circuit, build_oracle,
-                          build_prefix_table, build_stage, build_U, unitary_of)
-from grover_forge.ir import StateVector
+                          build_prefix_table, build_stage, build_U,
+                          conditional_prob, marginal_prob, ry_from_probs,
+                          unitary_of)
+from grover_forge.ir import StateVector, qubit_bits
 
 
 def test_example_three_gates(example_targets):
@@ -113,3 +115,37 @@ def test_stage_masks_match_pair_formula_wide(n, size):
     targets = wide_target_set(n, n, size)
     got = _controlled(build_U(targets))
     assert got and got == stage_pair_controls(targets)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(target_sets(1, 9))
+def test_stage_blocks_are_floats_of_the_rationals(targets):
+    # Every block is ry_from_probs on the floats of dichotomy's rationals,
+    # bit for bit, and a stage collapses to one uncontrolled rotation
+    # exactly when every prefix is populated and all its splits agree.
+    table = build_prefix_table(targets)
+    for m in range(1, targets.n + 1):
+        depth = m - 1
+        if depth == 0:
+            splits = [(0, marginal_prob(table, 1, 0),
+                       marginal_prob(table, 1, 1))]
+        else:
+            splits = [(alpha, conditional_prob(table, depth, 0, alpha),
+                       conditional_prob(table, depth, 1, alpha))
+                      for alpha in sorted(table.support(depth))]
+        collapsed = (len(splits) == 1 << depth
+                     and len({split[1:] for split in splits}) == 1)
+        kept = [split for split in splits if split[2] != 0]
+        if collapsed:
+            kept = kept[:1]
+        gates = build_stage(table, m).gates
+        assert len(gates) == len(kept)
+        for gate, (alpha, p0, p1) in zip(gates, kept):
+            assert gate.target == depth
+            if collapsed:
+                assert isinstance(gate, Single)
+            else:
+                assert isinstance(gate, Controlled)
+                assert gate.mask == (1 << depth) - 1
+                assert gate.value == qubit_bits(alpha, depth)
+            assert np.array_equal(gate.u, ry_from_probs(float(p0), float(p1)))
