@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .errors import PermutationValidationError, ValidationError
 from .ir import Circuit, Controlled, Gate, Single, X, qubit_bits
-from .synth import build_U
+from .synth import _prepare
 from .targets import TargetSet, bitstring, check_target_count
 
 
@@ -30,23 +30,15 @@ def canonical_targets(targets: TargetSet) -> tuple[TargetSet, int]:
 def build_U_tilde(size: int, n: int) -> Circuit:
     """Preparation of the canonical-target superposition on n qubits.
 
-    Only the last l qubits carry gates; the leading stages are absent
-    entirely because every prefix there is forced to zero.
+    This is U of {0, ..., size-1} on l qubits, its stages placed on the
+    last l qubits of n; the leading n - l stages are absent because every
+    prefix there is forced to zero.
     """
     check_target_count(n, size)
     if size == 1:
         return Circuit(n, ())
     l = target_bits(size)
-    compact = build_U(TargetSet(l, tuple(range(size))))
-    shift = n - l
-    gates: list[Gate] = []
-    for gate in compact.gates:
-        if isinstance(gate, Single):
-            gates.append(Single(gate.u, gate.target + shift))
-        else:
-            gates.append(Controlled(gate.mask << shift, gate.value << shift,
-                                    gate.u, gate.target + shift))
-    return Circuit(n, tuple(gates))
+    return Circuit(n, _prepare(TargetSet(l, tuple(range(size))), n - l))
 
 
 def gray_path(x: int, y: int, n: int) -> list[int]:

@@ -16,20 +16,19 @@ from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
 from .targets import TargetSet, bitstring
 
 
-def build_stage(table: PrefixTable, m: int) -> Circuit:
-    """The stage-m circuit: rotations on qubit m-1 (0-based).
+def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
+    """Stage m's gates, with every qubit index raised by `shift`.
 
-    Each populated (m-1)-bit prefix splits its c targets into c - ones
-    with next bit 0 and ones with next bit 1; depth 0 is the one prefix 0
-    with every target.  Its block is ry_from_probs((c - ones) / c,
-    ones / c): int division rounds as the float of the rational does,
-    where 1 - ones / c may not.  Branches with ones = 0 are identity and
-    dropped.  When every prefix at depth m-1 is populated and all splits
-    agree, the stage collapses to one uncontrolled rotation.
+    Stage m rotates qubit m-1, or m-1+shift, once per populated (m-1)-bit
+    prefix alpha, controlled on the qubits before it being set to alpha.
+    Each prefix splits its c targets into c - ones with next bit 0 and
+    ones with next bit 1; depth 0 is the one prefix 0 with every target.
+    Its block is ry_from_probs((c - ones) / c, ones / c): int division
+    rounds as the float of the rational does, where 1 - ones / c may not.
+    Branches with ones = 0 are identity and dropped.  When every prefix at
+    depth m-1 is populated and all splits agree, the stage collapses to
+    one uncontrolled rotation.
     """
-    n = table.n
-    if not 1 <= m <= n:
-        raise ValidationError(f"stage {m} out of range 1..{n}")
     depth = m - 1
     parents = table.levels[depth - 1] if depth else {0: table.total}
     children = table.levels[depth]
@@ -39,30 +38,35 @@ def build_stage(table: PrefixTable, m: int) -> Circuit:
     if (len(splits) == 1 << depth
             and all(ones_a * c == ones * c_a for _, c_a, ones_a in splits)):
         if ones == 0:
-            return Circuit(n, ())
-        return Circuit(n, (Single(ry_from_probs((c - ones) / c, ones / c),
-                                  depth),))
+            return []
+        return [Single(ry_from_probs((c - ones) / c, ones / c),
+                       depth + shift)]
+    mask = ((1 << depth) - 1) << shift
+    return [Controlled(mask, qubit_bits(alpha, depth) << shift,
+                       ry_from_probs((c - ones) / c, ones / c), depth + shift)
+            for alpha, c, ones in splits if ones]
 
-    # Every rotation is controlled on all of qubits 0..depth-1, set to its
-    # prefix alpha.
-    mask = (1 << depth) - 1
-    gates: list[Gate] = []
-    for alpha, c, ones in splits:
-        if ones == 0:
-            continue
-        gates.append(Controlled(mask, qubit_bits(alpha, depth),
-                                ry_from_probs((c - ones) / c, ones / c),
-                                depth))
-    return Circuit(n, tuple(gates))
+
+def _prepare(targets: TargetSet, shift: int) -> list[Gate]:
+    """The gates of every stage of `targets`' preparation, in order, with
+    every qubit index raised by `shift`."""
+    table = build_prefix_table(targets)
+    return [gate for m in range(1, targets.n + 1)
+            for gate in _stage_gates(table, m, shift)]
+
+
+def build_stage(table: PrefixTable, m: int) -> Circuit:
+    """The stage-m circuit of the paper: rotations on qubit m-1 (0-based),
+    one per populated (m-1)-bit prefix, as `_stage_gates` describes."""
+    if not 1 <= m <= table.n:
+        raise ValidationError(f"stage {m} out of range 1..{table.n}")
+    return Circuit(table.n, _stage_gates(table, m, 0))
 
 
 def build_U(targets: TargetSet) -> Circuit:
-    """Preparation circuit mapping |0...0> to the target superposition."""
-    table = build_prefix_table(targets)
-    gates: list[Gate] = []
-    for m in range(1, targets.n + 1):
-        gates.extend(build_stage(table, m).gates)
-    return Circuit(targets.n, tuple(gates))
+    """Preparation circuit mapping |0...0> to the target superposition:
+    stages 1..n in order, as one circuit."""
+    return Circuit(targets.n, _prepare(targets, 0))
 
 
 def build_P(n: int) -> Circuit:

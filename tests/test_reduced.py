@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from conftest import (random_target_set, stage_pair_controls, target_sets,
                       wide_target_set)
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from grover_forge import (Controlled, PermutationValidationError, TargetSet,
-                          ValidationError, apply_circuit, build_pi_sigma,
-                          build_U_tilde, canonical_targets, circuit_to_json,
-                          count, gray_path, reduced, unitary_of)
+from grover_forge import (Controlled, PermutationValidationError, Single,
+                          TargetSet, ValidationError, apply_circuit,
+                          build_pi_sigma, build_U, build_U_tilde,
+                          canonical_targets, circuit_to_json, count,
+                          gray_path, reduced, unitary_of)
 from grover_forge.ir import StateVector
 from grover_forge.targets import bitstring
 
@@ -52,6 +54,47 @@ def test_u_tilde_trivial_and_bad_sizes():
         build_U_tilde(0, 3)
     with pytest.raises(ValidationError):
         build_U_tilde(9, 3)
+
+
+def u_tilde_by_shifting(size, n):
+    """Ũ by its definition: U of {0, ..., size-1} on l qubits, every gate
+    moved n - l qubits down."""
+    if size == 1:
+        return ()
+    l = (size - 1).bit_length()
+    shift = n - l
+    out = []
+    for gate in build_U(TargetSet(l, tuple(range(size)))).gates:
+        if isinstance(gate, Single):
+            out.append(Single(gate.u, gate.target + shift))
+        else:
+            out.append(Controlled(gate.mask << shift, gate.value << shift,
+                                  gate.u, gate.target + shift))
+    return tuple(out)
+
+
+@st.composite
+def sizes_and_widths(draw):
+    n = draw(st.integers(1, 12))
+    return draw(st.integers(1, 1 << n)), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(sizes_and_widths())
+@example((1, 1)).via("size 1")
+@example((1, 12)).via("size 1, wide")
+@example((2, 1)).via("size 2^n")
+@example((1 << 12, 12)).via("size 2^n, wide")
+@example((3000, 12)).via("a partial last stage")
+def test_u_tilde_is_u_of_the_canonical_set_shifted(case):
+    size, n = case
+    got, want = build_U_tilde(size, n).gates, u_tilde_by_shifting(size, n)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and g.target == w.target
+        if isinstance(w, Controlled):
+            assert (g.mask, g.value) == (w.mask, w.value)
+        assert np.array_equal(g.u, w.u)
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 8, 13, 16])
