@@ -62,8 +62,19 @@ def _rz(theta: float) -> np.ndarray:
                      [0, cmath.exp(1j * theta / 2)]], dtype=complex)
 
 
+def _near(angle: float, value: float) -> bool:
+    return abs(abs(angle) - value) <= ATOL_UNITARY
+
+
 def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles (alpha, beta, gamma, delta) with u = e^{ia} Rz(b) Ry(g) Rz(d)."""
+    """Angles (alpha, beta, gamma, delta) with u = e^{ia} Rz(b) Ry(g) Rz(d).
+
+    Two spellings are folded into the global phase alpha, so that each
+    leaves at most ATOL_UNITARY of its Rz angles: Rz(+-2 pi) = -I, and
+    Rz(+-pi) Ry(g) Rz(+-pi) = +-Ry(-g), - when the two signs agree.  A
+    real rotation Ry(t), of either sign, then has b and d within
+    ATOL_UNITARY of 0.
+    """
     det = np.linalg.det(u)
     alpha = cmath.phase(det) / 2
     v = u * cmath.exp(-1j * alpha)
@@ -80,6 +91,17 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
         half_diff = cmath.phase(v[1, 0])
         beta = half_sum + half_diff
         delta = half_sum - half_diff
+    if _near(beta, math.pi) and _near(delta, math.pi):
+        alpha += math.pi if beta * delta > 0 else 0.0
+        beta -= math.copysign(math.pi, beta)
+        delta -= math.copysign(math.pi, delta)
+        gamma = -gamma
+    if _near(beta, 2 * math.pi):
+        alpha += math.pi
+        beta -= math.copysign(2 * math.pi, beta)
+    if _near(delta, 2 * math.pi):
+        alpha += math.pi
+        delta -= math.copysign(2 * math.pi, delta)
     return alpha, beta, gamma, delta
 
 

@@ -3,7 +3,9 @@
 Only the lowered gate alphabet is accepted: single-qubit unitaries and
 CNOTs.  A single-qubit block is emitted as x or h where it matches one
 within ATOL_UNITARY entrywise, as nothing where it matches the identity,
-and as an rz-ry-rz triple otherwise; global phase is dropped.
+and otherwise as the rz, ry and rz of `zyz_angles` whose angles exceed
+ATOL_UNITARY, so a real rotation of either sign is one ry; global phase
+is dropped.
 """
 from __future__ import annotations
 

@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from conftest import phase_align
+from conftest import phase_align, target_sets
+from hypothesis import given, settings
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
-                          ValidationError, lower, to_qasm, unitary_of)
+                          ValidationError, build_oracle, build_pi_sigma,
+                          build_U, build_U_tilde, lower, to_qasm, unitary_of)
 from grover_forge.ir import H, X
 from grover_forge.lowering import _ry, _rz
 
@@ -77,3 +79,26 @@ def test_lowered_qasm_round_trip():
     want = unitary_of(circuit)
     got = unitary_of(parse_qasm(text))
     assert np.abs(phase_align(got, want) - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("theta", [0.3, -0.3, -np.pi / 2, np.pi, -np.pi])
+def test_real_rotation_is_one_ry(theta):
+    # One ry with the signed angle, not rz(-pi) ry(|theta|) rz(pi): the
+    # Rz pair and Rz(2 pi) = -I are only a global phase.
+    circuit = Circuit(1, (Single(_ry(theta), 0),))
+    lines = body(circuit)
+    assert len(lines) == 1 and lines[0].startswith("ry(")
+    got = unitary_of(parse_qasm(to_qasm(circuit)))
+    assert np.abs(phase_align(got, _ry(theta)) - _ry(theta)).max() < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(target_sets(2, 7, max_size=24))
+def test_one_qasm_line_per_lowered_single(targets):
+    circuits = (build_U(targets), build_U_tilde(targets.size, targets.n),
+                build_oracle(targets), build_pi_sigma(targets, "exact")[0])
+    for circuit in circuits:
+        lowered = lower(circuit)
+        singles = sum(isinstance(g, Single) for g in lowered.gates)
+        lines = body(lowered)
+        assert sum(not line.startswith("cx ") for line in lines) == singles
