@@ -43,12 +43,29 @@ def blocks_close(u, v) -> bool:
     return bool(np.abs(np.subtract(u, v)).max() <= ATOL_UNITARY)
 
 
-def _as_unitary(u) -> np.ndarray:
+# numpy and complex() read "1", b"1" and True as numbers; where the package
+# takes a number, these are refused instead.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """values as a complex array, or ValidationError.  An ndarray's dtype
+    decides in O(1) unless it holds objects; a list is read entry by entry."""
+    arr = (values if isinstance(values, np.ndarray)
+           else np.asarray(values, dtype=object))
+    if arr.dtype.kind in "bSU" or (arr.dtype == object and any(
+            isinstance(x, _NOT_NUMBERS) for x in arr.flat)):
+        raise ValidationError(f"{what} must hold numbers, not str, bytes "
+                              "or bool")
     try:
-        u = np.asarray(u, dtype=complex)
+        return np.asarray(arr, dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"gate block is not a numeric array: {exc}"
+        raise ValidationError(f"{what} is not a numeric array: {exc}"
                               ) from exc
+
+
+def _as_unitary(u) -> np.ndarray:
+    u = _complex_array(u, "gate block")
     if u.shape != (2, 2):
         raise ValidationError(f"gate block must be 2x2, got shape {u.shape}")
     if not blocks_close(u.conj().T @ u, I2):
@@ -158,7 +175,8 @@ class PatternPhase:
         if (not isinstance(self.pattern, str) or not self.pattern
                 or set(self.pattern) - {"0", "1"}):
             raise ValidationError(f"bad pattern {self.pattern!r}")
-        if not isinstance(self.phase, numbers.Number):
+        if (isinstance(self.phase, bool)
+                or not isinstance(self.phase, numbers.Number)):
             raise ValidationError(f"pattern phase must be a number, "
                                   f"got {self.phase!r}")
         phase = complex(self.phase)
@@ -181,6 +199,8 @@ class Circuit:
 
     def __post_init__(self):
         n = as_int(self.n, "qubit count")
+        if n < 0:
+            raise ValidationError(f"qubit count {n} is negative")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
@@ -210,7 +230,7 @@ class StateVector:
 
     def __post_init__(self):
         n = as_int(self.n, "qubit count")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _complex_array(self.amplitudes, "state amplitudes")
         # No array holds 2**64 entries, so the bound also keeps 1 << n small.
         if not 0 <= n < 64 or amps.shape != (1 << n,):
             raise ValidationError(f"state on {n} qubits needs 2**{n} "
@@ -319,8 +339,16 @@ def _block_to_json(u: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in u.reshape(-1)]
 
 
+def _complex_from_json(pair, what: str) -> complex:
+    re, im = pair
+    if isinstance(re, _NOT_NUMBERS) or isinstance(im, _NOT_NUMBERS):
+        raise ValidationError(f"{what} must hold numbers, not str, bytes "
+                              "or bool")
+    return complex(re, im)
+
+
 def _block_from_json(entries) -> np.ndarray:
-    flat = [complex(re, im) for re, im in entries]
+    flat = [_complex_from_json(pair, "gate block") for pair in entries]
     return np.array(flat, dtype=complex).reshape(2, 2)
 
 
@@ -357,8 +385,8 @@ def _gate_from_json(entry: dict, n: int) -> Gate:
                                      _block_from_json(entry["u"]),
                                      entry["target"], n)
     if kind == "pattern_phase":
-        re, im = entry["phase"]
-        return PatternPhase(entry["pattern"], complex(re, im))
+        return PatternPhase(entry["pattern"],
+                            _complex_from_json(entry["phase"], "pattern phase"))
     raise ValidationError(f"unknown gate kind {kind!r}")
 
 

@@ -171,9 +171,18 @@ def test_circuit_from_json_rejects_non_integers(body):
         {"kind": "pattern_phase", "pattern": ["0", "1"], "phase": [1, 0]}]}),
     (circuit_from_json, [2, []]),
     (partial(Circuit, 2), (None,)),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "single", "target": 0, "u": [[True, 0]] + _U[1:]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "single", "target": 0, "u": [[1, False]] + _U[1:]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "pattern_phase", "pattern": "00", "phase": [True, 0]}]}),
+    (circuit_from_json, {"n": 2, "gates": [
+        {"kind": "pattern_phase", "pattern": "00", "phase": [-1, "0"]}]}),
 ], ids=["no gates", "no kind", "3 entries", "5 entries", "string entry",
         "int pattern", "scalar phase", "list pattern", "not an object",
-        "not a gate"])
+        "not a gate", "true entry", "false entry", "true phase",
+        "string phase"])
 def test_malformed_circuit_is_validation_error(make, arg):
     # Documented file format: every malformed input is a ValidationError.
     with pytest.raises(ValidationError):
@@ -197,6 +206,35 @@ def test_malformed_circuit_is_validation_error(make, arg):
 def test_gate_constructor_is_validation_error(make):
     with pytest.raises(ValidationError):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Single([["1", 0], [0, 1]], 0),
+    lambda: Single([[b"1", 0], [0, 1]], 0),
+    lambda: Single(np.eye(2, dtype=bool), 0),
+    lambda: Single([[True, 0], [0, 1]], 0),
+    lambda: Single(np.array([[1, 0], [0, np.True_]], dtype=object), 0),
+    lambda: Controlled(1, 1, [["0", "1"], ["1", "0"]], 1),
+    lambda: StateVector(1, ["1", "0"]),
+    lambda: StateVector(1, [True, False]),
+    lambda: StateVector(1, np.array([b"1", b"0"])),
+    lambda: PatternPhase("0", True),
+    lambda: PatternPhase("0", np.bool_(True)),
+], ids=["str entry", "bytes entry", "bool array", "bool entry",
+        "numpy bool object", "str controlled block", "str amplitudes",
+        "bool amplitudes", "bytes amplitudes", "bool phase",
+        "numpy bool phase"])
+def test_str_bytes_and_bool_are_not_numbers(make):
+    # numpy would parse "1" and b"1" and cast True to 1.
+    with pytest.raises(ValidationError):
+        make()
+
+
+def test_negative_qubit_count_is_refused():
+    with pytest.raises(ValidationError):
+        Circuit(-1, ())
+    with pytest.raises(ValidationError):
+        circuit_from_json({"n": -1, "gates": []})
 
 
 def test_load_circuit_rejects_bad_json(tmp_path):
