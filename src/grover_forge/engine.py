@@ -121,9 +121,10 @@ def _run_key(gate):
     """(kind, member) of a gate that can join a multiplexor run, else None.
 
     A stage rotation is a Controlled gate whose controls are exactly the
-    qubits lo..target-1, as build_stage and build_U_tilde emit: its kind is
-    (target, mask) and its member the control value.  A PatternPhase's kind
-    is "phase" and its member the pattern.
+    qubits lo..target-1, as synth._stage_gates emits for U (lo = 0) and
+    U_tilde (lo = n - l): its kind is (target, mask) and its member the
+    control value.  A PatternPhase's kind is "phase" and its member the
+    pattern.
     """
     if isinstance(gate, PatternPhase):
         return "phase", gate.pattern
