@@ -53,7 +53,8 @@ def _complex_array(values, what: str) -> np.ndarray:
     decides in O(1) unless it holds objects; a list is read entry by entry."""
     arr = (values if isinstance(values, np.ndarray)
            else np.asarray(values, dtype=object))
-    if arr.dtype.kind in "bSU" or (arr.dtype == object and any(
+    kind = arr.dtype.kind
+    if kind in "bSU" or (kind == "O" and any(
             isinstance(x, _NOT_NUMBERS) for x in arr.flat)):
         raise ValidationError(f"{what} must hold numbers, not str, bytes "
                               "or bool")
