@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SimulatorLimitError, ValidationError
 from .ir import (Circuit, Controlled, PatternPhase, Single, StateVector,
-                 _apply_inplace, qubit_bits, unitary_of)
+                 _apply_inplace, _derived, qubit_bits, unitary_of)
 from .reduced import PermutationPlan, build_U_tilde, plan_pi_sigma
 from .synth import build_D, build_O_conv, build_oracle, reflection
 from .targets import TargetSet, check_target_count
@@ -225,8 +225,9 @@ def _fuse(gates, amps: np.ndarray, n: int) -> list[partial]:
                 continue
             lo = start * FUSE
             w = min(FUSE, n - lo)
-            block = unitary_of(Circuit(w, tuple(Single(g.u, g.target - lo)
-                                               for g in window)))
+            block = unitary_of(Circuit(w, tuple(
+                _derived(Single, u=g.u, target=g.target - lo)
+                for g in window)))
             steps.append(partial(_block, amps.reshape(1 << lo, 1 << w, -1),
                                  block))
         windows = {}

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,8 @@ ATOL_UNITARY = 1e-12
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+# Gates share these blocks, so they are read-only like every gate block.
+I2.flags.writeable = X.flags.writeable = H.flags.writeable = False
 
 
 def blocks_close(u, v) -> bool:
@@ -60,7 +62,7 @@ def _complex_array(values, what: str) -> np.ndarray:
                               "or bool")
     try:
         return np.asarray(arr, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is not a numeric array: {exc}"
                               ) from exc
 
@@ -76,17 +78,38 @@ def _as_unitary(u) -> np.ndarray:
     return u
 
 
+def _derived(cls, **fields):
+    """A gate of `cls` whose fields are derived from checked ones: a block
+    known unitary, such as a checked block, its conjugate transpose or a
+    rotation built from an angle, and qubit indices already in range.
+
+    Unitarity is checked where a block enters the package, in the public
+    constructors and circuit files; this constructor skips __post_init__,
+    so the caller answers for the fields.  A block is made read-only, as
+    `_as_unitary` makes it.
+    """
+    gate = object.__new__(cls)
+    vars(gate).update(fields)
+    if "u" in fields:
+        fields["u"].flags.writeable = False
+    return gate
+
+
 @dataclass(frozen=True)
 class Single:
     u: np.ndarray
     target: int
+    # The QASM gates that name u up to global phase, as (name, angle or
+    # None) pairs, when `lower` built or checked the gate; None otherwise.
+    _spelling: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", _as_unitary(self.u))
         object.__setattr__(self, "target", as_int(self.target, "gate target"))
 
     def dagger(self) -> "Single":
-        return Single(self.u.conj().T, self.target)
+        return _derived(Single, u=self.u.conj().T, target=self.target)
 
 
 def qubit_bits(label: int, n: int) -> int:
@@ -164,7 +187,8 @@ class Controlled:
                      for q, c in enumerate(bits) if c == "1")
 
     def dagger(self) -> "Controlled":
-        return Controlled(self.mask, self.value, self.u.conj().T, self.target)
+        return _derived(Controlled, mask=self.mask, value=self.value,
+                        u=self.u.conj().T, target=self.target)
 
 
 @dataclass(frozen=True)
@@ -180,14 +204,19 @@ class PatternPhase:
                 or not isinstance(self.phase, numbers.Number)):
             raise ValidationError(f"pattern phase must be a number, "
                                   f"got {self.phase!r}")
-        phase = complex(self.phase)
+        try:
+            phase = complex(self.phase)
+        except OverflowError as exc:
+            raise ValidationError(f"pattern phase is out of range: {exc}"
+                                  ) from exc
         # Written so that a NaN phase fails too.
         if not abs(abs(phase) - 1.0) <= ATOL_UNITARY:
             raise ValidationError("pattern phase must have modulus 1")
         object.__setattr__(self, "phase", phase)
 
     def dagger(self) -> "PatternPhase":
-        return PatternPhase(self.pattern, self.phase.conjugate())
+        return _derived(PatternPhase, pattern=self.pattern,
+                        phase=self.phase.conjugate())
 
 
 Gate = Single | Controlled | PatternPhase
@@ -345,7 +374,10 @@ def _complex_from_json(pair, what: str) -> complex:
     if isinstance(re, _NOT_NUMBERS) or isinstance(im, _NOT_NUMBERS):
         raise ValidationError(f"{what} must hold numbers, not str, bytes "
                               "or bool")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} is out of range: {exc}") from exc
 
 
 def _block_from_json(entries) -> np.ndarray:

@@ -11,6 +11,11 @@ u = W diag(e^{i a0}, e^{i a1}) W^dagger it becomes W^dagger on the
 target, one diagonal over the controls and the target, then W.  Only a
 single-control X bypasses the multiplexor, as one CNOT.  Global phase is
 dropped.
+
+Every gate `lower` emits is built from blocks already known unitary, by
+`ir._derived`, and each `Single` records its QASM spelling: a multiplexor
+rotation from its angle, any other block through `zyz_angles`, once.
+`to_qasm` only prints these.
 """
 from __future__ import annotations
 
@@ -21,8 +26,8 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .ir import (ATOL_UNITARY, I2, Circuit, Controlled, Gate, PatternPhase,
-                 Single, X, blocks_close)
+from .ir import (ATOL_UNITARY, H, I2, Circuit, Controlled, Gate,
+                 PatternPhase, Single, X, _derived, blocks_close)
 
 # A rotation angle, phase or block this close to zero or the identity is
 # dropped from the lowered circuit.
@@ -34,15 +39,16 @@ MAX_LOWERED_CNOTS = 1 << 16
 
 
 def _cnot(control: int, target: int) -> Controlled:
-    return Controlled(1 << control, 1 << control, X, target)
+    return _derived(Controlled, mask=1 << control, value=1 << control, u=X,
+                    target=target)
 
 
 def is_cnot(gate: Gate) -> bool:
     """One positive control (a power-of-two mask, all required bits 1)
-    and an X block."""
+    and an X block; a lowered CNOT holds X itself."""
     return (isinstance(gate, Controlled) and gate.value == gate.mask
             and gate.mask & (gate.mask - 1) == 0
-            and blocks_close(gate.u, X))
+            and (gate.u is X or blocks_close(gate.u, X)))
 
 
 def _is_real_rotation(u: np.ndarray) -> bool:
@@ -105,15 +111,80 @@ def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
     return alpha, beta, gamma, delta
 
 
+def _spell(u: np.ndarray) -> tuple:
+    """The QASM gates naming u up to global phase, as (name, angle or None)
+    pairs: nothing for the identity, x or h for X or H, each within
+    ATOL_UNITARY entrywise, and otherwise the rz, ry and rz of `zyz_angles`
+    whose angles exceed ATOL_UNITARY."""
+    if blocks_close(u, I2):
+        return ()
+    if blocks_close(u, X):
+        return (("x", None),)
+    if blocks_close(u, H):
+        return (("h", None),)
+    _, beta, gamma, delta = zyz_angles(u)
+    return tuple((name, angle) for name, angle in
+                 (("rz", delta), ("ry", gamma), ("rz", beta))
+                 if abs(angle) > ATOL_UNITARY)
+
+
+def _spell_ry(theta: float) -> tuple:
+    """`_spell(_ry(theta))`, read off the angle with the same arithmetic.
+
+    _ry(theta) is [[c, -s], [s, c]]: it is never X or H, its determinant
+    has phase 0, and `zyz_angles`' phases of c and s are 0 or pi, which its
+    folds turn into one ry of 2 atan2(|s|, |c|), negated when c and s
+    differ in sign unless one of them is within ATOL_UNITARY of 0.
+    """
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    if abs(c - 1) <= ATOL_UNITARY and abs(s) <= ATOL_UNITARY:
+        return ()
+    gamma = 2 * math.atan2(abs(s), abs(c))
+    if (abs(s) > ATOL_UNITARY and abs(c) > ATOL_UNITARY
+            and (c < 0) != (s < 0)):
+        gamma = -gamma
+    return (("ry", gamma),) if abs(gamma) > ATOL_UNITARY else ()
+
+
+def _spell_rz(theta: float) -> tuple:
+    """`_spell(_rz(theta))`, read off the angle with the same arithmetic.
+
+    _rz(theta) is diag(e, e*), never X or H, with determinant 1: its one
+    rz is `zyz_angles`' beta, -2 phase(e), less 2 pi when that is within
+    ATOL_UNITARY of +-2 pi.
+    """
+    e = cmath.exp(-1j * theta / 2)
+    if abs(e - 1) <= ATOL_UNITARY:
+        return ()
+    beta = -2 * cmath.phase(e)
+    if _near(beta, 2 * math.pi):
+        beta -= math.copysign(2 * math.pi, beta)
+    return (("rz", beta),) if abs(beta) > ATOL_UNITARY else ()
+
+
+# Each rotation a multiplexor applies: its block and its spelling, both
+# from the angle.
+_AXES = {"ry": (_ry, _spell_ry), "rz": (_rz, _spell_rz)}
+
+
+def _single(u: np.ndarray, target: int, spelling: tuple | None = None
+            ) -> Single:
+    """A lowered Single of a block known unitary, with its spelling
+    (`_spell(u)` unless given)."""
+    return _derived(Single, u=u, target=target,
+                    _spelling=_spell(u) if spelling is None else spelling)
+
+
 def _gray(k: int) -> int:
     return k ^ (k >> 1)
 
 
-def _mux(rotation, qubits: list[int], target: int,
+def _mux(axis: str, qubits: list[int], target: int,
          theta: np.ndarray) -> list[Gate]:
-    """rotation(theta[a]) on `target`, a the pattern on `qubits` (qubits[i]
-    is bit m-1-i): 2^m rotations and 2^m CNOTs, or nothing when every angle
-    is within ATOL_DROP.  Overwrites `theta`."""
+    """The `axis` ("ry" or "rz") rotation by theta[a] on `target`, a the
+    pattern on `qubits` (qubits[i] is bit m-1-i): 2^m rotations and 2^m
+    CNOTs, or nothing when every angle is within ATOL_DROP.  Overwrites
+    `theta`."""
     if np.abs(theta).max() <= ATOL_DROP:
         return []
     m = len(qubits)
@@ -125,11 +196,12 @@ def _mux(rotation, qubits: list[int], target: int,
         pairs[:, 0] += pairs[:, 1]
         pairs[:, 1] = low - pairs[:, 1]
     size = 1 << m
-    phi = theta[_gray(np.arange(size))] / size
+    phi = (theta[_gray(np.arange(size))] / size).tolist()
+    rotation, spell = _AXES[axis]
     out: list[Gate] = []
     for k in range(size):
         if abs(phi[k]) > ATOL_DROP:
-            out.append(Single(rotation(phi[k]), target))
+            out.append(_single(rotation(phi[k]), target, spell(phi[k])))
         if m:
             bit = (_gray(k) ^ _gray((k + 1) % size)).bit_length() - 1
             out.append(_cnot(qubits[m - 1 - bit], target))
@@ -144,7 +216,7 @@ def _diagonal(qubits: list[int], phases: np.ndarray) -> list[Gate]:
     out: list[Gate] = []
     for k in range(len(qubits), 0, -1):
         even, odd = phases[0::2], phases[1::2]
-        out += _mux(_rz, qubits[:k - 1], qubits[k - 1], odd - even)
+        out += _mux("rz", qubits[:k - 1], qubits[k - 1], odd - even)
         phases = (even + odd) / 2
     return out
 
@@ -182,7 +254,7 @@ def _lower_controlled(gate: Controlled) -> list[Gate]:
     controls = gate.controls
     if len(controls) == 1 and blocks_close(gate.u, X):
         (q, b), = controls
-        flips = [] if b else [Single(X, q)]
+        flips = [] if b else [_single(X, q)]
         return flips + [_cnot(q, gate.target)] + flips
     w, a0, a1 = _eigenbasis(np.asarray(gate.u))
     phases = np.zeros(2 << len(controls))
@@ -191,7 +263,8 @@ def _lower_controlled(gate: Controlled) -> list[Gate]:
     core = _diagonal([q for q, _ in controls] + [gate.target], phases)
     if w is I2:
         return core
-    return [Single(w.conj().T, gate.target)] + core + [Single(w, gate.target)]
+    return ([_single(w.conj().T, gate.target)] + core
+            + [_single(w, gate.target)])
 
 
 def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
@@ -200,7 +273,7 @@ def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
     for gate in run:
         ry = gate.u.real
         theta[_pattern(gate.controls)] += 2 * math.atan2(ry[1, 0], ry[0, 0])
-    return _mux(_ry, [q for q, _ in run[0].controls], run[0].target, theta)
+    return _mux("ry", [q for q, _ in run[0].controls], run[0].target, theta)
 
 
 def _rotation_run_key(gate: Gate):
@@ -235,7 +308,7 @@ def lower(circuit: Circuit) -> Circuit:
             continue
         for gate in group:
             if isinstance(gate, Single):
-                out.append(gate)
+                out.append(_single(gate.u, gate.target))
             elif isinstance(gate, PatternPhase):
                 phases = np.zeros(1 << n)
                 phases[int(gate.pattern, 2)] = cmath.phase(gate.phase)

@@ -5,38 +5,28 @@ CNOTs.  A single-qubit block is emitted as x or h where it matches one
 within ATOL_UNITARY entrywise, as nothing where it matches the identity,
 and otherwise as the rz, ry and rz of `zyz_angles` whose angles exceed
 ATOL_UNITARY, so a real rotation of either sign is one ry; global phase
-is dropped.
+is dropped.  A `Single` from `lower` carries that spelling already, and
+is printed as it is; only a gate built by hand is spelled here.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ValidationError
-from .ir import (ATOL_UNITARY, I2, Circuit, Controlled, H, Single, X,
-                 blocks_close)
-from .lowering import is_cnot, zyz_angles
+from .ir import Circuit, Controlled, Single
+from .lowering import _spell, is_cnot
 
 
 def _fmt(angle: float) -> str:
     return repr(round(angle, 12))
 
 
-def _single_lines(u: np.ndarray, q: int) -> list[str]:
-    if blocks_close(u, I2):
-        return []
-    if blocks_close(u, X):
-        return [f"x q[{q}];"]
-    if blocks_close(u, H):
-        return [f"h q[{q}];"]
-    _, beta, gamma, delta = zyz_angles(u)  # global phase dropped
-    lines = []
-    if abs(delta) > ATOL_UNITARY:
-        lines.append(f"rz({_fmt(delta)}) q[{q}];")
-    if abs(gamma) > ATOL_UNITARY:
-        lines.append(f"ry({_fmt(gamma)}) q[{q}];")
-    if abs(beta) > ATOL_UNITARY:
-        lines.append(f"rz({_fmt(beta)}) q[{q}];")
-    return lines
+def _lines(spelling: tuple, q: int) -> list[str]:
+    return [f"{name} q[{q}];" if angle is None
+            else f"{name}({_fmt(angle)}) q[{q}];"
+            for name, angle in spelling]
+
+
+def _single_lines(u, q: int) -> list[str]:
+    return _lines(_spell(u), q)
 
 
 def to_qasm(circuit: Circuit) -> str:
@@ -44,9 +34,12 @@ def to_qasm(circuit: Circuit) -> str:
              f"qreg q[{circuit.n}];"]
     for gate in circuit.gates:
         if isinstance(gate, Single):
-            lines += _single_lines(np.asarray(gate.u), gate.target)
+            spelling = gate._spelling
+            lines += (_single_lines(gate.u, gate.target) if spelling is None
+                      else _lines(spelling, gate.target))
         elif isinstance(gate, Controlled) and is_cnot(gate):
-            lines.append(f"cx q[{gate.controls[0][0]}],q[{gate.target}];")
+            lines.append(f"cx q[{gate.mask.bit_length() - 1}],"
+                         f"q[{gate.target}];")
         else:
             raise ValidationError(
                 "QASM export accepts lowered circuits only "

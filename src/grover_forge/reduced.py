@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import PermutationValidationError, ValidationError
-from .ir import Circuit, Controlled, Gate, Single, X, qubit_bits
+from .ir import Circuit, Controlled, Gate, Single, X, _derived, qubit_bits
 from .synth import _prepare
 from .targets import TargetSet, bitstring, check_target_count
 
@@ -59,15 +59,17 @@ def gray_path(x: int, y: int, n: int) -> list[int]:
 
 
 def _transposition_gate(s: int, t: int, n: int) -> Gate:
-    """Multi-controlled X swapping two labels at Hamming distance 1."""
+    """Multi-controlled X swapping two labels at Hamming distance 1; every
+    such gate shares the one X block."""
     diff = s ^ t
     flip_bit = diff.bit_length() - 1
     target = n - 1 - flip_bit
     mask = ((1 << n) - 1) ^ (1 << target)
     if not mask:
         # On one qubit the swap of the two labels is a bare X.
-        return Single(X, target)
-    return Controlled(mask, qubit_bits(s, n) & mask, X, target)
+        return _derived(Single, u=X, target=target)
+    return _derived(Controlled, mask=mask, value=qubit_bits(s, n) & mask, u=X,
+                    target=target)
 
 
 @dataclass(frozen=True)

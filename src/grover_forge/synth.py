@@ -12,7 +12,7 @@ from __future__ import annotations
 from .dichotomy import PrefixTable, build_prefix_table
 from .errors import ValidationError
 from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
-                 qubit_bits, ry_from_probs)
+                 _derived, qubit_bits, ry_from_probs)
 from .targets import TargetSet, bitstring
 
 
@@ -27,7 +27,8 @@ def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
     rounds as the float of the rational does, where 1 - ones / c may not.
     Branches with ones = 0 are identity and dropped.  When every prefix at
     depth m-1 is populated and all splits agree, the stage collapses to
-    one uncontrolled rotation.
+    one uncontrolled rotation.  ry_from_probs checks each split, so its
+    block is unitary and the gates are built without a second check.
     """
     depth = m - 1
     parents = table.levels[depth - 1] if depth else {0: table.total}
@@ -39,11 +40,13 @@ def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
             and all(ones_a * c == ones * c_a for _, c_a, ones_a in splits)):
         if ones == 0:
             return []
-        return [Single(ry_from_probs((c - ones) / c, ones / c),
-                       depth + shift)]
+        return [_derived(Single, u=ry_from_probs((c - ones) / c, ones / c),
+                         target=depth + shift)]
     mask = ((1 << depth) - 1) << shift
-    return [Controlled(mask, qubit_bits(alpha, depth) << shift,
-                       ry_from_probs((c - ones) / c, ones / c), depth + shift)
+    return [_derived(Controlled, mask=mask,
+                     value=qubit_bits(alpha, depth) << shift,
+                     u=ry_from_probs((c - ones) / c, ones / c),
+                     target=depth + shift)
             for alpha, c, ones in splits if ones]
 
 
@@ -77,7 +80,7 @@ def build_P(n: int) -> Circuit:
 def build_D(n: int) -> Circuit:
     """Hadamard-conjugated zero flip; equals the negated inversion about
     the mean, see the sign handling in `engine`."""
-    hs = tuple(Single(H, target) for target in range(n))
+    hs = tuple(_derived(Single, u=H, target=target) for target in range(n))
     return Circuit(n, hs + build_P(n).gates + hs)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from grover_forge import (TargetSet, build_prefix_table, build_stage,
                           conditional_prob)
-from grover_forge.ir import Controlled, PatternPhase, Single
+from grover_forge.ir import Circuit, Controlled, PatternPhase, Single
 
 
 @pytest.fixture
@@ -64,6 +64,34 @@ def random_unitary_2x2(rng):
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def circuits(draw):
+    """Hypothesis strategy: up to 8 gates of every kind on 1..4 qubits,
+    random blocks, mixed control polarities."""
+    n = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["single", "controlled", "pattern"]))
+        if kind == "pattern":
+            pattern = "".join(draw(st.lists(st.sampled_from("01"),
+                                            min_size=n, max_size=n)))
+            angle = draw(st.floats(-np.pi, np.pi))
+            gates.append(PatternPhase(pattern, np.exp(1j * angle)))
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 999)))
+        u = random_unitary_2x2(rng)
+        target = draw(st.integers(0, n - 1))
+        others = [q for q in range(n) if q != target]
+        if kind == "single" or not others:
+            gates.append(Single(u, target))
+            continue
+        qubits = draw(st.lists(st.sampled_from(others), min_size=1,
+                               unique=True))
+        controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
+        gates.append(Controlled.from_pairs(controls, u, target))
+    return Circuit(n, tuple(gates))
 
 
 def phase_align(a, b):

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_gate_matrix, phase_align, random_unitary_2x2
+from conftest import (circuits, dense_gate_matrix, phase_align,
+                      random_unitary_2x2)
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import grover_forge
 
@@ -49,6 +49,26 @@ def test_gate_validation():
         Controlled.from_pairs(((0, 1),), X, 0)
     with pytest.raises(ValidationError, match="modulus"):
         PatternPhase("01", 2.0)
+
+
+_SHEAR = [[1, 0], [1, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Single(np.array([[1, 1], [0, 1]]), 0),
+    lambda: Controlled(1, 1, np.array([[1, 1], [0, 1]]), 1),
+    lambda: Controlled.from_pairs(((0, 0),), np.diag([1, 1.001]), 1),
+    lambda: circuit_from_json({"n": 1, "gates": [
+        {"kind": "single", "target": 0, "u": _SHEAR}]}),
+    lambda: circuit_from_json({"n": 2, "gates": [
+        {"kind": "controlled", "controls": [[0, 1]], "target": 1,
+         "u": _SHEAR}]}),
+], ids=["single", "controlled", "from pairs", "file single",
+        "file controlled"])
+def test_non_unitary_block_refused_where_it_enters(make):
+    # Derived gates skip the check, so every way in must make it.
+    with pytest.raises(ValidationError, match="unitary"):
+        make()
 
 
 def test_from_pairs_round_trip():
@@ -227,6 +247,28 @@ def test_gate_constructor_is_validation_error(make):
 def test_str_bytes_and_bool_are_not_numbers(make):
     # numpy would parse "1" and b"1" and cast True to 1.
     with pytest.raises(ValidationError):
+        make()
+
+
+_HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Single([[_HUGE, 0], [0, 1]], 0),
+    lambda: StateVector(1, [_HUGE, 0]),
+    lambda: PatternPhase("0", _HUGE),
+    lambda: circuit_from_json(json.loads(
+        '{"n": 1, "gates": [{"kind": "single", "target": 0, "u": '
+        f'[[{_HUGE}, 0], [0, 0], [0, 0], [1, 0]]}}]}}')),
+    lambda: circuit_from_json(json.loads(
+        '{"n": 1, "gates": [{"kind": "pattern_phase", "pattern": "0", '
+        f'"phase": [{_HUGE}, 0]}}]}}')),
+], ids=["block entry", "amplitude", "phase", "file block entry",
+        "file phase"])
+def test_huge_integer_is_validation_error(make):
+    # A 400-digit int does not fit a float: refused, not a bare
+    # OverflowError.  The file cases are valid JSON integer literals.
+    with pytest.raises(ValidationError, match="int too large"):
         make()
 
 
@@ -432,32 +474,6 @@ def test_json_round_trip_bit_exact():
     state = StateVector(3, np.full(8, 8 ** -0.5, dtype=complex))
     assert np.array_equal(apply_circuit(state, loaded).amplitudes,
                           apply_circuit(state, circuit).amplitudes)
-
-
-@st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 4))
-    gates = []
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["single", "controlled", "pattern"]))
-        if kind == "pattern":
-            pattern = "".join(draw(st.lists(st.sampled_from("01"),
-                                            min_size=n, max_size=n)))
-            angle = draw(st.floats(-np.pi, np.pi))
-            gates.append(PatternPhase(pattern, np.exp(1j * angle)))
-            continue
-        rng = np.random.default_rng(draw(st.integers(0, 999)))
-        u = random_unitary_2x2(rng)
-        target = draw(st.integers(0, n - 1))
-        others = [q for q in range(n) if q != target]
-        if kind == "single" or not others:
-            gates.append(Single(u, target))
-            continue
-        qubits = draw(st.lists(st.sampled_from(others), min_size=1,
-                               unique=True))
-        controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
-        gates.append(Controlled.from_pairs(controls, u, target))
-    return Circuit(n, tuple(gates))
 
 
 @settings(derandomize=True, deadline=None)

@@ -2,14 +2,18 @@ import re
 
 import numpy as np
 import pytest
-from conftest import phase_align, target_sets
+from conftest import circuits as random_circuits
+from conftest import phase_align, random_unitary_2x2, target_sets
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
-                          ValidationError, build_oracle, build_pi_sigma,
-                          build_U, build_U_tilde, lower, to_qasm, unitary_of)
+                          TargetSet, ValidationError, build_oracle,
+                          build_pi_sigma, build_U, build_U_tilde, ir,
+                          lower, lowering, to_qasm, unitary_of)
 from grover_forge.ir import H, X
-from grover_forge.lowering import _ry, _rz
+from grover_forge.lowering import ATOL_DROP, _mux, _ry, _rz
+from grover_forge.qasm import _single_lines
 
 HEADER = ["OPENQASM 2.0;", 'include "qelib1.inc";']
 
@@ -102,3 +106,111 @@ def test_one_qasm_line_per_lowered_single(targets):
         singles = sum(isinstance(g, Single) for g in lowered.gates)
         lines = body(lowered)
         assert sum(not line.startswith("cx ") for line in lines) == singles
+
+
+def test_near_x_controlled_is_not_cx():
+    # The block of test_near_x_block_is_not_a_cnot, 1e-5 away from X.
+    gate = Controlled.from_pairs(((0, 1),), X @ np.diag([1, np.exp(1e-5j)]),
+                                 1)
+    with pytest.raises(ValidationError, match="lowered"):
+        to_qasm(Circuit(2, (gate,)))
+
+
+def assert_printed_as_block(axis, angle):
+    """The rotation a one-angle multiplexor emits prints the lines that
+    `_single_lines` writes for its block."""
+    gates = _mux(axis, [], 0, np.array([angle], dtype=float))
+    assert len(gates) == (abs(angle) > ATOL_DROP)
+    for gate in gates:
+        assert gate._spelling is not None
+        assert body(Circuit(1, (gate,))) == _single_lines(gate.u, 0)
+
+
+# Where a printer working from the angle alone, such as one reducing it
+# mod 2 pi, parts from the block's spelling: near the identity, which the
+# block test drops, and at +-pi and 2 pi - 1e-12, where the angle's sign
+# flips.
+EDGE_ANGLES = [0.0, 1e-13, 1.5e-12, 2.5e-12, np.pi, 2 * np.pi,
+               2 * np.pi - 1e-12, 2 * np.pi + 1e-12, 4 * np.pi - 1e-12,
+               *(np.pi + d for d in (1e-12, -1e-12, 1.5e-12, -1.5e-12))]
+
+
+@pytest.mark.parametrize("axis", ["ry", "rz"])
+@pytest.mark.parametrize("angle", EDGE_ANGLES + [-a for a in EDGE_ANGLES])
+def test_recorded_spelling_at_edge_angles(axis, angle):
+    assert_printed_as_block(axis, angle)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(["ry", "rz"]),
+       st.floats(-2 * np.pi, 2 * np.pi, allow_subnormal=False))
+def test_recorded_spelling_drawn(axis, angle):
+    assert_printed_as_block(axis, angle)
+
+
+def test_recorded_spelling_seeded_bulk():
+    # Uniform angles, and angles within 1e-10 of 0, +-pi and +-2 pi, where
+    # the tolerance tests of the block's spelling decide.
+    rng = np.random.default_rng(14)
+    near = 10 ** rng.uniform(-14, -10, 500) * rng.choice([-1, 1], 500)
+    angles = np.concatenate([rng.uniform(-2 * np.pi, 2 * np.pi, 2000),
+                             *(base + near for base in
+                               (0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi))])
+    for axis in ("ry", "rz"):
+        for angle in angles:
+            assert_printed_as_block(axis, float(angle))
+
+
+def rebuilt(circuit):
+    """The same gates as plain, validated Single and Controlled gates, which
+    to_qasm spells from their blocks."""
+    return Circuit(circuit.n, tuple(
+        Single(g.u, g.target) if isinstance(g, Single)
+        else Controlled(g.mask, g.value, g.u, g.target)
+        for g in circuit.gates))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(target_sets(1, 7, max_size=24))
+def test_lowered_qasm_equals_rebuilt_built_circuits(targets):
+    circuits = (build_U(targets), build_U_tilde(targets.size, targets.n),
+                build_oracle(targets), build_pi_sigma(targets, "exact")[0])
+    for circuit in circuits:
+        lowered = lower(circuit)
+        assert to_qasm(lowered) == to_qasm(rebuilt(lowered))
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(random_circuits())
+def test_lowered_qasm_equals_rebuilt_drawn_circuits(circuit):
+    # Random blocks: each eigenbasis change W and W^dagger is spelled by
+    # zyz_angles once, at lowering time.
+    lowered = lower(circuit)
+    assert to_qasm(lowered) == to_qasm(rebuilt(lowered))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a derived gate was checked again")
+
+
+def test_lowering_and_export_skip_rechecks(monkeypatch):
+    # Blocks are checked where they enter.  The builders, lower() and
+    # to_qasm() derive every gate from checked blocks: with the unitarity
+    # check refused, they still run, and to_qasm prints what lower()
+    # recorded, without zyz_angles or a block comparison.
+    rng = np.random.default_rng(5)
+    hand_built = Circuit(3, (
+        Single(random_unitary_2x2(rng), 0), Single(H, 2),
+        Controlled.from_pairs(((0, 1), (2, 0)), random_unitary_2x2(rng), 1),
+        Controlled.from_pairs(((2, 0),), X, 0), PatternPhase("101", 1j)))
+    targets = TargetSet(6, (3, 17, 40, 41, 62))
+    monkeypatch.setattr(ir, "_as_unitary", _refuse)
+    circuits = (build_U(targets), build_oracle(targets),
+                build_U_tilde(targets.size, targets.n),
+                build_pi_sigma(targets, "exact")[0], hand_built)
+    lowered = [lower(c) for c in circuits]
+    monkeypatch.setattr(lowering, "zyz_angles", _refuse)
+    monkeypatch.setattr(lowering, "blocks_close", _refuse)
+    for circuit in lowered:
+        assert "cx q[" in to_qasm(circuit)
+        assert all(not g.u.flags.writeable for g in circuit.gates)
