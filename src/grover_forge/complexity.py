@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dichotomy import PrefixTable, build_prefix_table
 from .errors import ValidationError
 from .ir import Circuit, Controlled, PatternPhase
 from .engine import analytic_schedule, check_iterations
-from .reduced import build_U_tilde, plan_pi_sigma, target_bits
-from .synth import build_D, build_O_conv, build_P, build_U
+from .reduced import plan_pi_sigma, target_bits
+from .synth import _stage_splits
 from .targets import TargetSet, check_target_count
 
 
@@ -39,6 +40,20 @@ def count(circuit: Circuit) -> int:
             total += gate_cost(n - 1) + 2 * gate.pattern.count("0")
         else:
             total += gate_cost(0)
+    return total
+
+
+def _prep_cost(table: PrefixTable) -> int:
+    """count() of the preparation `synth` builds from `table`, read off
+    the same splits: 1 for a collapsed stage that rotates, and one
+    (m-1)-controlled rotation for each split of stage m with ones != 0."""
+    total = 0
+    for m in range(1, table.n + 1):
+        splits, collapsed = _stage_splits(table, m)
+        if collapsed:
+            total += gate_cost(0) if splits[0][2] else 0
+        else:
+            total += gate_cost(m - 1) * sum(1 for *_, ones in splits if ones)
     return total
 
 
@@ -158,12 +173,16 @@ class ComplexityReport:
 
 def build_report(targets: TargetSet, k: int | None = None
                  ) -> ComplexityReport:
-    """Count every construction for one target set.
+    """Count every construction for one target set, and build no gate.
 
-    pi_sigma is counted from its paper-mode plan, one (n-1)-controlled X
-    per swap, and no gate of it is built.  Counting does not require the
-    gray-code chains to be semantically valid, so paper mode is never
-    rejected here.  The oracle U P U^dagger is counted from its parts.
+    U is counted from its prefix table and U_tilde from that of
+    {0, ..., |S|-1} on l qubits, by `_prep_cost`; the oracle U P U^dagger
+    from its parts.  pi_sigma is counted from its paper-mode plan, one
+    (n-1)-controlled X per swap.  Counting does not require the gray-code
+    chains to be semantically valid, so paper mode is never rejected
+    here.  P, D and O_conv are closed forms: P is an (n-1)-controlled
+    phase between X gates on its n zeros, D adds 2n Hadamards, and O_conv
+    is one phase flip per target, with X gates on its zero bits.
     """
     n, s = targets.n, targets.size
     l = target_bits(s)
@@ -171,18 +190,19 @@ def build_report(targets: TargetSet, k: int | None = None
         k = analytic_schedule(n, s).k_star
     else:
         check_iterations(k)
-    prep = build_U(targets)
-    prep_tilde = build_U_tilde(s, n)
+    u_cost = _prep_cost(build_prefix_table(targets))
+    u_tilde_cost = (0 if s == 1 else _prep_cost(
+        build_prefix_table(TargetSet(l, tuple(range(s))))))
     swaps = plan_pi_sigma(targets, "paper", validate=False).swaps()
-    oracle_conv = build_O_conv(targets)
-    u_cost, p_cost = count(prep), count(build_P(n))
+    p_cost = gate_cost(n - 1) + 2 * n
+    zeros = n * s - sum(x.bit_count() for x in targets.labels)
     counts = {
         "U": u_cost,
-        "U_tilde": count(prep_tilde),
+        "U_tilde": u_tilde_cost,
         "pi_sigma": gate_cost(n - 1) * len(swaps),
         "oracle": 2 * u_cost + p_cost,
-        "oracle_conv": count(oracle_conv),
-        "D": count(build_D(n)),
+        "oracle_conv": s * gate_cost(n - 1) + 2 * zeros,
+        "D": 2 * n + p_cost,
         "P": p_cost,
     }
     counts["reduced_run"] = (2 * counts["pi_sigma"]

@@ -16,19 +16,16 @@ from .ir import (Circuit, Controlled, Gate, H, PatternPhase, Single,
 from .targets import TargetSet, bitstring
 
 
-def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
-    """Stage m's gates, with every qubit index raised by `shift`.
+def _stage_splits(table: PrefixTable, m: int
+                  ) -> tuple[list[tuple[int, int, int]], bool]:
+    """Stage m's splits, and whether the stage collapses to one Single.
 
-    Stage m rotates qubit m-1, or m-1+shift, once per populated (m-1)-bit
-    prefix alpha, controlled on the qubits before it being set to alpha.
-    Each prefix splits its c targets into c - ones with next bit 0 and
-    ones with next bit 1; depth 0 is the one prefix 0 with every target.
-    Its block is ry_from_probs((c - ones) / c, ones / c): int division
-    rounds as the float of the rational does, where 1 - ones / c may not.
-    Branches with ones = 0 are identity and dropped.  When every prefix at
-    depth m-1 is populated and all splits agree, the stage collapses to
-    one uncontrolled rotation.  ry_from_probs checks each split, so its
-    block is unitary and the gates are built without a second check.
+    Each populated (m-1)-bit prefix alpha splits its c targets into
+    c - ones with next bit 0 and ones with next bit 1; depth 0 is the one
+    prefix 0 with every target.  The splits come as (alpha, c, ones) in
+    ascending alpha.  The stage collapses when every prefix at depth m-1
+    is populated and all splits agree, decided on the ints by
+    cross-multiplying.
     """
     depth = m - 1
     parents = table.levels[depth - 1] if depth else {0: table.total}
@@ -36,8 +33,27 @@ def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
     splits = [(alpha, c, children.get(2 * alpha + 1, 0))
               for alpha, c in sorted(parents.items())]
     _, c, ones = splits[0]
-    if (len(splits) == 1 << depth
-            and all(ones_a * c == ones * c_a for _, c_a, ones_a in splits)):
+    return splits, (len(splits) == 1 << depth
+                    and all(ones_a * c == ones * c_a
+                            for _, c_a, ones_a in splits))
+
+
+def _stage_gates(table: PrefixTable, m: int, shift: int) -> list[Gate]:
+    """Stage m's gates, with every qubit index raised by `shift`.
+
+    Stage m rotates qubit m-1, or m-1+shift, once per split of
+    `_stage_splits`, controlled on the qubits before it being set to its
+    prefix alpha, or once uncontrolled when the stage collapses.  A split's
+    block is ry_from_probs((c - ones) / c, ones / c): int division rounds
+    as the float of the rational does, where 1 - ones / c may not.
+    Branches with ones = 0 are identity and dropped.  ry_from_probs checks
+    each split, so its block is unitary and the gates are built without a
+    second check.
+    """
+    depth = m - 1
+    splits, collapsed = _stage_splits(table, m)
+    if collapsed:
+        _, c, ones = splits[0]
         if ones == 0:
             return []
         return [_derived(Single, u=ry_from_probs((c - ones) / c, ones / c),

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from conftest import random_target_set, target_sets
+from conftest import random_target_set, target_sets, wide_target_set
 from hypothesis import example, given, settings
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           TargetSet, ValidationError, bound_pi, bound_U,
-                          bound_U_tilde, build_O_conv, build_oracle,
-                          build_pi_sigma, build_report, build_U, build_U_tilde,
-                          canonical_targets, count, gamma_approx, gamma_ratio,
-                          sweep_gamma)
-from grover_forge import reduced
+                          bound_U_tilde, build_D, build_O_conv, build_oracle,
+                          build_P, build_pi_sigma, build_report, build_U,
+                          build_U_tilde, canonical_targets, count,
+                          gamma_approx, gamma_ratio, sweep_gamma)
+from grover_forge import ir, reduced, synth
 from grover_forge.complexity import gate_cost, total_reduced_cost
 from grover_forge.ir import H, X
 
@@ -145,8 +145,36 @@ def test_report_accepts_colliding_paper_mode(monkeypatch):
 @given(target_sets(1, 7))
 @example(TargetSet(1, (1,)))
 @example(TargetSet(3, (1, 2, 3)))
+@example(TargetSet(3, (5,)))
+# Stage 2 collapses to one Single (both prefixes split 1:1), and stage 3
+# collapses with ones = 0, so it has no gate.
+@example(TargetSet(3, (0, 2, 4, 6)))
+@example(TargetSet(3, tuple(range(8))))
 def test_report_counts_the_built_oracle(targets):
+    n, s = targets.n, targets.size
     counts = build_report(targets, k=1).counts
-    assert counts["oracle"] == count(build_oracle(targets))
-    assert counts["pi_sigma"] == count(
-        build_pi_sigma(targets, "paper", validate=False)[0])
+    built = {
+        "U": build_U(targets), "U_tilde": build_U_tilde(s, n),
+        "oracle_conv": build_O_conv(targets), "D": build_D(n),
+        "P": build_P(n), "oracle": build_oracle(targets),
+        "pi_sigma": build_pi_sigma(targets, "paper", validate=False)[0],
+    }
+    assert {key: counts[key] for key in built} == {
+        key: count(circuit) for key, circuit in built.items()}
+
+
+def test_report_builds_no_gate(monkeypatch):
+    # Every count comes from prefix tables, the pi_sigma plan and closed
+    # forms: no stage, rotation block, gate or circuit is made.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a gate")
+
+    for owner, name in ((synth, "_stage_gates"), (synth, "ry_from_probs"),
+                        (ir, "ry_from_probs"), (synth, "_derived"),
+                        (reduced, "_derived")):
+        monkeypatch.setattr(owner, name, refuse)
+    for cls in (Single, Controlled, PatternPhase, Circuit):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for targets in (TargetSet(1, (1,)), TargetSet(3, (0, 2, 4, 6)),
+                    wide_target_set(4, 40, 300)):
+        assert build_report(targets).counts["U"] > 0
