@@ -348,8 +348,18 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
 
 def ry_from_probs(p0, p1) -> np.ndarray:
     """Real rotation sending |0> to sqrt(p0)|0> + sqrt(p1)|1>.  The two
-    probabilities are nonnegative and sum to 1 within ATOL_UNITARY."""
-    p0, p1 = float(p0), float(p1)
+    probabilities are nonnegative and sum to 1 within ATOL_UNITARY; str,
+    bytes and bool are refused, as the gate constructors refuse them."""
+    # Synthesis passes floats, which need neither check nor cast.
+    if type(p0) is not float or type(p1) is not float:
+        if isinstance(p0, _NOT_NUMBERS) or isinstance(p1, _NOT_NUMBERS):
+            raise ValidationError("branch probabilities must be numbers, "
+                                  "not str, bytes or bool")
+        try:
+            p0, p1 = float(p0), float(p1)
+        except (TypeError, OverflowError) as exc:
+            raise ValidationError("branch probabilities must be real "
+                                  f"numbers in float range: {exc}") from exc
     if p0 < 0 or p1 < 0:
         raise ValidationError("branch probabilities must be nonnegative")
     if not abs(p0 + p1 - 1.0) <= ATOL_UNITARY:

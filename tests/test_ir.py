@@ -1,5 +1,6 @@
 import ast
 import json
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -40,6 +41,26 @@ def test_ry_validation():
         ry_from_probs(-0.1, 1.1)
     with pytest.raises(ValidationError):
         ry_from_probs(0.7, 0.7)
+
+
+@pytest.mark.parametrize("p0, p1", [
+    ("0.5", "0.5"), (b"1", 0), (True, False), (np.bool_(True), 0),
+    (np.str_("1"), 0), (10 ** 400, 0), (Fraction(10 ** 400), 0), (None, 1),
+    (1 + 0j, 0)], ids=["str", "bytes", "bool", "numpy-bool", "numpy-str",
+                       "huge-int", "huge-fraction", "none", "complex"])
+def test_ry_refuses_what_is_not_a_real_number(p0, p1):
+    # float() reads strings and bools and overflows on huge ints; each is
+    # refused as ValidationError, as the gate constructors refuse them.
+    with pytest.raises(ValidationError, match="branch probabilities"):
+        ry_from_probs(p0, p1)
+
+
+@pytest.mark.parametrize("p0, p1", [
+    (1, 0), (Fraction(1, 4), Fraction(3, 4)), (np.float64(0.25), 0.75),
+    (np.float32(0.25), np.float32(0.75)), (np.int64(0), np.int64(1))])
+def test_ry_accepts_real_numbers(p0, p1):
+    assert np.array_equal(ry_from_probs(p0, p1),
+                          ry_from_probs(float(p0), float(p1)))
 
 
 def test_gate_validation():
