@@ -267,13 +267,24 @@ def _lower_controlled(gate: Controlled) -> list[Gate]:
             + [_single(w, gate.target)])
 
 
+def _index(value: int, qubits: list[int]) -> int:
+    """`_pattern` of the controls on `qubits`, in ascending order, read
+    from a gate's `value`: bit qubits[i] of value is bit m-1-i."""
+    index = 0
+    for q in qubits:
+        index = (index << 1) | ((value >> q) & 1)
+    return index
+
+
 def _lower_rotation_run(run: list[Controlled]) -> list[Gate]:
     """Joint lowering of controlled rotations sharing target and controls."""
-    theta = np.zeros(1 << run[0].mask.bit_count())
+    qubits = [q for q, _ in run[0].controls]
+    theta = np.zeros(1 << len(qubits))
     for gate in run:
         ry = gate.u.real
-        theta[_pattern(gate.controls)] += 2 * math.atan2(ry[1, 0], ry[0, 0])
-    return _mux("ry", [q for q, _ in run[0].controls], run[0].target, theta)
+        theta[_index(gate.value, qubits)] += 2 * math.atan2(ry[1, 0],
+                                                            ry[0, 0])
+    return _mux("ry", qubits, run[0].target, theta)
 
 
 def _rotation_run_key(gate: Gate):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
-from conftest import phase_align, random_unitary_2x2
+from conftest import phase_align, random_unitary_2x2, target_sets
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grover_forge import (Circuit, Controlled, PatternPhase, Single,
                           ValidationError, unitary_of)
 from grover_forge.ir import H, X
-from grover_forge.lowering import (MAX_LOWERED_CNOTS, _ry, _rz, is_cnot,
-                                   lower, zyz_angles)
-from grover_forge.synth import build_stage
+from grover_forge.lowering import (MAX_LOWERED_CNOTS, _index, _pattern, _ry,
+                                   _rz, is_cnot, lower, zyz_angles)
+from grover_forge.reduced import build_U_tilde
+from grover_forge.synth import build_stage, build_U
 from grover_forge.dichotomy import build_prefix_table
 from grover_forge.targets import TargetSet
 
@@ -78,6 +79,19 @@ def test_rotation_stage_lowers_jointly():
     assert sum(1 for g in lowered.gates if is_cnot(g)) == 1 << m
     assert sum(1 for g in lowered.gates if isinstance(g, Single)) <= 1 << m
     assert_equivalent(stage, lowered)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(target_sets(2, 9), st.integers(0, 3))
+def test_run_index_reads_the_pattern_from_value(targets, shift):
+    # The multiplexor index of every stage gate of U and U_tilde, read from
+    # value and mask, equals the one decoded from its control pairs.
+    gates = build_U(targets).gates + build_U_tilde(
+        targets.size, targets.n + shift).gates
+    for gate in gates:
+        if isinstance(gate, Controlled):
+            qubits = [q for q, _ in gate.controls]
+            assert _index(gate.value, qubits) == _pattern(gate.controls)
 
 
 def test_merged_stage_of_equal_rotations():
