@@ -23,10 +23,11 @@ from .targets import TargetSet, parse_target_file
 
 MAX_SWEEP_ROWS = 100_000
 # The work `synth` and `compare --targets` may spend on one target set, in
-# control bits: their circuits hold up to about n |S| gates of up to n
+# control bits: `synth`'s circuits hold up to about n |S| gates of up to n
 # controls each, and building a gate costs about as much as 2,048 bits.
-# The widest sets it admits take `compare --targets` about 4 s and 150 MB
-# on a 2-core VM: 3,214 labels on 40 qubits, or one label on 15,350.
+# `compare --targets` counts without building a gate: the widest sets the
+# bound admits take it about 0.4 s and 37-48 MB on a 2-core VM, process
+# start included: 3,214 labels on 40 qubits, or one label on 15,350.
 MAX_TARGET_WORK = 1 << 28
 
 
