@@ -6,16 +6,24 @@ multiplies a compensating -1 into the state so all variants return states
 in the same sign convention and can be compared entrywise.
 
 A run compiles its circuits once into steps over one amplitude array,
-each a call with no arguments.  Each run of consecutive `Single` gates
-becomes one dense block per window of FUSE adjacent qubits, built by
-`unitary_of`, so the kernel still defines what every gate means.  Each
-synthesis stage, one rotation on its target for each populated prefix of
-the qubits before it, becomes one multiplexor step: every 2x2 block of the
-stage is applied at once with the kernel's own products.  A run of one or
-more pattern phases becomes one multiply at its labels.  Any other gate,
-a lone `Single` in its window too, is one kernel call.  The reduced
-variant's pi_sigma becomes one index array, read off its plan's label
-swaps: the run iterates in the permuted frame and gathers each state.
+each a call with no arguments.  Every gate of the three variants is real:
+H, X, the Ry rotations of the synthesis stages, the +-1 phase flips and
+pi_sigma's label swaps.  So the array is real, float64, with half the
+bytes per step of a complex one, and each state the run yields is its
+complex copy.  Each step computes in the array's dtype, and on a real
+array a block or phase with an imaginary part is refused, not dropped.
+
+Each run of consecutive `Single` gates becomes one dense block per window
+of FUSE adjacent qubits, built by `unitary_of`, so the kernel still
+defines what every gate means; the lowest window's block is one matrix
+product over a transposed view.  Each synthesis stage, one rotation on its
+target for each populated prefix of the qubits before it, becomes one
+multiplexor step: every 2x2 block of the stage is applied at once with the
+kernel's own products.  A run of one or more pattern phases becomes one
+multiply at its labels.  Any other gate, a lone `Single` in its window
+too, is one kernel call.  The reduced variant's pi_sigma becomes one index
+array, read off its plan's label swaps: the run iterates in the permuted
+frame and gathers each state.
 """
 from __future__ import annotations
 
@@ -164,6 +172,28 @@ def _block(view, block) -> None:
     view[...] = np.matmul(block, view)
 
 
+def _in_dtype(values, amps: np.ndarray, what: str) -> np.ndarray:
+    """`values` as an array to apply to `amps`: as they are on a complex
+    array, their real part on a real one.  ValidationError if a real array
+    would lose an imaginary part."""
+    values = np.asarray(values)
+    if amps.dtype.kind == "c" or values.dtype.kind != "c":
+        return values
+    if values.imag.any():
+        raise ValidationError(f"{what} is not real: a real state cannot "
+                              "hold its result")
+    return values.real.copy()
+
+
+def _kernel_step(amps: np.ndarray, n: int, gate) -> partial:
+    """A kernel call of one Single or Controlled gate, its block in the
+    dtype of `amps`."""
+    u = _in_dtype(gate.u, amps, "gate block")
+    if u is not gate.u:
+        gate = _derived(type(gate), **{**vars(gate), "u": u})
+    return partial(_apply_inplace, amps, n, gate)
+
+
 def _run_step(run, amps: np.ndarray):
     """One step for a run of gates with one kind and distinct members.
 
@@ -178,7 +208,8 @@ def _run_step(run, amps: np.ndarray):
     head = run[0]
     if isinstance(head, PatternPhase):
         index = np.array([int(g.pattern, 2) for g in run])
-        return partial(_phases, amps, index, np.array([g.phase for g in run]))
+        phases = _in_dtype([g.phase for g in run], amps, "pattern phase")
+        return partial(_phases, amps, index, phases)
     lo = (head.mask & -head.mask).bit_length() - 1
     w = head.target - lo
     prefixes = sorted(((qubit_bits(g.value >> lo, w), g) for g in run),
@@ -188,23 +219,41 @@ def _run_step(run, amps: np.ndarray):
         index = slice(int(index[0]), int(index[-1]) + 1)
     view = amps.reshape(1 << lo, 1 << w, 2, -1)
     u = np.stack([g.u for _, g in prefixes], axis=-1)[..., None]
-    return partial(_mux, view, index, u)
+    return partial(_mux, view, index, _in_dtype(u, amps, "gate block"))
+
+
+def _window_step(window, amps: np.ndarray, n: int) -> partial:
+    """One `_block` step for the Single gates of one window, in order.
+
+    The block acts on the middle axis of a (2**lo, 2**w, rest) view of
+    `amps`, which indexes qubits lo..lo+w-1.  The lowest window, where
+    rest = 1, would be 2**lo matrix-vector products: its view is the
+    transposed (2**w, 2**lo) one, so the block is one matrix product.
+    """
+    lo = window[0].target // FUSE * FUSE
+    w = min(FUSE, n - lo)
+    block = unitary_of(Circuit(w, tuple(
+        _derived(Single, u=g.u, target=g.target - lo) for g in window)))
+    view = (amps.reshape(1 << lo, 1 << w).T if lo + w == n
+            else amps.reshape(1 << lo, 1 << w, -1))
+    return partial(_block, view, _in_dtype(block, amps, "gate block"))
 
 
 def _fuse(gates, amps: np.ndarray, n: int) -> list[partial]:
     """The gate list as steps over `amps`, each a call with no arguments.
 
-    Each maximal run of consecutive Single gates becomes one `_block` step
+    Each maximal run of consecutive Single gates becomes one `_window_step`
     per window of FUSE adjacent qubits it touches.  Single gates on
     different qubits commute, so a run may be regrouped by window as long
-    as each window keeps its gates in order.  A block acts on the middle
-    axis of a (2**lo, 2**w, rest) view of `amps`, which indexes qubits
-    lo..lo+w-1.
+    as each window keeps its gates in order.
 
     Each maximal run of consecutive gates with one `_run_key` kind and
     distinct members becomes one `_run_step`: the gates of such a run act
     on disjoint amplitudes, so they commute.  A window holding one gate,
     and every other gate, is a kernel call.
+
+    Every step computes in the dtype of `amps`.  On a real array each
+    block and phase must be real, and its real part is used.
     """
     steps: list[partial] = []
     windows: dict[int, list[Single]] = {}
@@ -219,24 +268,16 @@ def _fuse(gates, amps: np.ndarray, n: int) -> list[partial]:
         if isinstance(gate, Single):
             windows.setdefault(gate.target // FUSE, []).append(gate)
             continue
-        for start, window in windows.items():
-            if len(window) == 1:
-                steps.append(partial(_apply_inplace, amps, n, window[0]))
-                continue
-            lo = start * FUSE
-            w = min(FUSE, n - lo)
-            block = unitary_of(Circuit(w, tuple(
-                _derived(Single, u=g.u, target=g.target - lo)
-                for g in window)))
-            steps.append(partial(_block, amps.reshape(1 << lo, 1 << w, -1),
-                                 block))
+        for window in windows.values():
+            steps.append(_kernel_step(amps, n, window[0]) if len(window) == 1
+                         else _window_step(window, amps, n))
         windows = {}
         if key is not None:
             kind = key[0]
             run.append(gate)
             members.add(key[1])
         elif gate is not None:
-            steps.append(partial(_apply_inplace, amps, n, gate))
+            steps.append(_kernel_step(amps, n, gate))
     return steps
 
 
@@ -252,8 +293,8 @@ def _gather_index(plan: PermutationPlan) -> np.ndarray:
 
 class _Run:
     """A search run of up to k iterations, its limits checked before the
-    state exists: fused oracle + inversion steps over one amplitude array.
-    The reduced variant iterates in its canonical targets' frame."""
+    state exists: fused oracle + inversion steps over one real amplitude
+    array.  The reduced variant iterates in its canonical targets' frame."""
 
     def __init__(self, targets: TargetSet, variant: str, k: int,
                  mode: str = "auto"):
@@ -264,9 +305,10 @@ class _Run:
         n = targets.n
         self.n = n
         # pi_sigma^dagger leaves the uniform start, a fresh array, as is.
-        # It is allocated first, so that a state too large for numpy is
-        # refused before any other array is built.
-        self.amps = uniform_state(n).amplitudes
+        # It is allocated first, and as complex as every state the run
+        # yields, so that a state too large for numpy is refused before
+        # any other array is built.  The run keeps its real part.
+        self.amps = uniform_state(n).amplitudes.real.copy()
         self.index: np.ndarray | None = None
         if variant == "conventional":
             oracle = build_O_conv(targets)
@@ -283,9 +325,8 @@ class _Run:
         self.amps *= -1.0
 
     def state(self) -> StateVector:
-        if self.index is None:
-            return StateVector(self.n, self.amps.copy())
-        return StateVector(self.n, self.amps[self.index])
+        amps = self.amps if self.index is None else self.amps[self.index]
+        return StateVector(self.n, amps.astype(complex))
 
 
 def grover_states(targets: TargetSet, variant: str, k_max: int,

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 from functools import partial
 
@@ -409,3 +410,86 @@ def test_reduced_run_builds_no_pi_sigma_gate(monkeypatch):
         state = grover_run(targets, "reduced", 1)
         want = grover_run(targets, "conventional", 1)
         assert np.abs(state.amplitudes - want.amplitudes).max() < 1e-12
+
+
+S = np.diag([1, 1j])
+
+
+@pytest.mark.parametrize("n, gates", [
+    (2, (Single(S, 0),)),                              # lone: kernel call
+    (2, (Single(H, 0), Single(S, 1))),                 # fused window
+    (2, (Controlled(0b01, 0b01, S, 1),)),              # stage run
+    (3, (Controlled(0b001, 0b001, S, 2),)),            # lone: kernel call
+    (2, (PatternPhase("01", 1j),)),                    # phase run
+    (2, (PatternPhase("00", -1), PatternPhase("11", 1j)))])
+def test_fuse_refuses_complex_onto_real(n, gates):
+    # A real state cannot hold a complex block's or phase's result: the
+    # imaginary part is refused, not dropped with or without a warning.
+    amps = np.zeros(1 << n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not real"):
+            engine._fuse(gates, amps, n)
+        # The same gates compile onto a complex array.
+        assert engine._fuse(gates, amps.astype(complex), n)
+
+
+def d_step_views(steps, n):
+    """Check that D's steps, the last of `steps`, are one `_block` per
+    window of FUSE qubits on each side of the zero flip, and return their
+    views: the lowest window's is the transposed (2**w, 2**lo) one."""
+    windows = [(lo, min(engine.FUSE, n - lo))
+               for lo in range(0, n, engine.FUSE)]
+    d = steps[-(2 * len(windows) + 1):]
+    assert step_names(d) == (["_block"] * len(windows) + ["_phases"]
+                             + ["_block"] * len(windows))
+    views = [op.args[0] for op in d if op.func is engine._block]
+    for view, (lo, w) in zip(views, windows * 2):
+        if lo + w == n:
+            assert view.T.shape == (1 << lo, 1 << w)
+            assert view.T.flags.c_contiguous
+        else:
+            assert view.shape == (1 << lo, 1 << w, 1 << (n - lo - w))
+    return views
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fuse_D_windows_match_kernel(dtype):
+    # n=10 ends in a two-qubit window, applied as one matrix product over
+    # the transposed view; the result is the kernel's on either dtype.
+    n = 10
+    rng = np.random.default_rng(10)
+    amps = rng.normal(size=1 << n).astype(dtype)
+    if dtype is complex:
+        amps += 1j * rng.normal(size=1 << n)
+    want = amps.astype(complex)
+    d = build_D(n)
+    for gate in d.gates:
+        _apply_inplace(want, n, gate)
+    steps = engine._fuse(d.gates, amps, n)
+    assert all(np.shares_memory(v, amps) for v in d_step_views(steps, n))
+    for step in steps:
+        step()
+    assert np.abs(amps - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("targets", [
+    TargetSet(10, (3, 400, 1000)), wide_target_set(10, 10, 150)],
+    ids=["n10-s3", "n10-wide"])
+def test_run_is_real(targets):
+    n = targets.n
+    k_max = max(1, analytic_schedule(n, targets.size).k_star)
+    for variant in engine.VARIANTS:
+        run = engine._Run(targets, variant, k_max)
+        # A real array of its own: the complex start is not kept.
+        assert run.amps.dtype == np.float64 and run.amps.base is None
+        assert all(np.shares_memory(v, run.amps)
+                   for v in step_views(run.steps))
+        d_step_views(run.steps, n)
+        pairs = zip(grover_states(targets, variant, k_max),
+                    unfused_states(targets, variant, k_max), strict=True)
+        for (k, got), (_, want) in pairs:
+            amps = got.amplitudes
+            assert amps.dtype == complex
+            assert np.abs(amps - want.amplitudes).max() < 1e-12
+            assert not amps.imag.any() and not np.signbit(amps.imag).any()
